@@ -1,6 +1,7 @@
 """Backend parity: the compiled kernels must match the pure ones exactly."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -43,10 +44,31 @@ def naive_minimal(vectors):
     return out
 
 
-@given(vector_family())
-def test_minimal_antichain_matches_naive(family):
-    _, vecs = family
-    assert _kernels_py.minimal_antichain(vecs) == naive_minimal(vecs)
+@given(st.data())
+def test_minimal_antichain_matches_naive(data):
+    # every dimension branch of the kernel, 1-D sweep through 5-D recursion
+    for dim in range(1, 6):
+        vecs = data.draw(vectors_strategy(dim, max_len=80), label=f"dim {dim}")
+        assert _kernels_py.minimal_antichain(vecs) == naive_minimal(vecs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_minimal_antichain_matches_naive_on_large_inputs(dim):
+    rng = random.Random(dim)
+    for size, top in ((300, 6), (600, 40), (400, 1000)):
+        vecs = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(size)]
+        # a staircase on a hyperplane is a large antichain: nothing is dropped
+        total = top * (dim - 1)
+        stair = [v[1:] + (total - sum(v[1:]),) for v in vecs if sum(v[1:]) <= total]
+        for case in (vecs, stair):
+            assert _kernels_py.minimal_antichain(case) == naive_minimal(case)
+
+
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d, max_len=12), vectors_strategy(d, max_len=12))))
+def test_pair_sums_antichain_matches_naive(pair):
+    left, right = pair
+    sums = [tuple(a + b for a, b in zip(g, h)) for g in left for h in right]
+    assert _kernels_py.pair_sums_antichain(left, right) == naive_minimal(sums)
 
 
 @given(vector_family())
