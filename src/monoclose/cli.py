@@ -8,13 +8,17 @@ order so identical invocations are byte-identical (timing lives in its own
 field, excluded from golden comparisons).
 
 Exit codes: 0 = success or true verdict, 1 = false verdict or failing check,
-2 = usage or input error.
+2 = usage or input error, 141 = standard output was closed by its reader
+before the output was written (as in ``monoclose closure ... | head -1``);
+141 is 128 + SIGPIPE, what a shell reports for a process that signal ended.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -50,6 +54,7 @@ from .two_exponent import (
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_GENS = 10**5
+EXIT_BROKEN_PIPE = 128 + 13  # 13 = SIGPIPE
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -510,15 +515,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Building costs far more than parsing, and parsing leaves the parser
+    # unchanged, so one per process serves every invocation.
+    return build_parser()
+
+
 def run_command(argv=None):
     """Parse and execute an invocation; returns (exit code, report or None).
 
     Nothing is printed on success paths; ``main`` does the rendering.  Usage
     errors print through argparse and return code 2.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return (0 if exc.code in (0, None) else 2), None
 
@@ -545,7 +556,16 @@ def run_command(argv=None):
 def main(argv=None) -> int:
     code, run = run_command(argv)
     if run is not None:
-        run.emit()
+        try:
+            run.emit()
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone, so nothing more can be shown.  Point
+            # stdout at devnull so the flush at exit cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
     return code
 
 

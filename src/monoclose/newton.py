@@ -170,14 +170,24 @@ def pure_power_member(alpha, v) -> bool:
     return sum((base // a) * x for a, x in zip(alpha, v)) >= base
 
 
-def _closure_scan(target: MonomialIdeal, base_gens, threshold, max_generators):
+def _missing_generators(target: MonomialIdeal, base_gens, threshold, max_generators):
+    """Minimal generators of ``threshold * NP(base_gens)`` missing from target.
+
+    A lex-sorted list; empty exactly when target is integrally closed, given
+    that base_gens span NP(target) scaled down by threshold.  Scans the box
+    of target's generators, seeded with them.
+    """
     bounds = tuple(
         max(g[i] for g in target.generators) for i in range(target.dim)
     )
     member = _scan_member(base_gens, target.dim, threshold)
-    found = kernels.box_closure_scan(
+    return kernels.box_closure_scan(
         bounds, target.generators, member, max_generators
     )
+
+
+def _closure_scan(target: MonomialIdeal, base_gens, threshold, max_generators):
+    found = _missing_generators(target, base_gens, threshold, max_generators)
     gens = kernels.minimal_antichain(list(target.generators) + found)
     return MonomialIdeal._from_antichain(target.dim, gens)
 

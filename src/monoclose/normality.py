@@ -21,9 +21,9 @@ from .ideals import (
     colon_by_maximal,
     contains_monomial,
     is_m_primary,
-    power,
+    product,
 )
-from .newton import _require_proper, closure, closure_of_power, np_member
+from .newton import _missing_generators, _require_proper, closure, np_member
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
@@ -86,12 +86,8 @@ def is_integrally_closed(I: MonomialIdeal):
     not in I.
     """
     _require_proper(I, "integral closedness")
-    closed = closure(I)
-    if closed.generators == I.generators:
-        return True, None
-    gens = set(I.generators)
-    witness = next(g for g in closed.generators if g not in gens)
-    return False, witness
+    missing = _missing_generators(I, I.generators, 1, None)
+    return (False, missing[0]) if missing else (True, None)
 
 
 def socle_criterion_check(I: MonomialIdeal) -> bool:
@@ -109,15 +105,6 @@ def socle_criterion_check(I: MonomialIdeal) -> bool:
         if np_member(I, v).is_inside:
             return False
     return True
-
-
-def _closed_power(I, k, np_basis, max_generators):
-    K = power(I, k)
-    closed = closure_of_power(I, k, max_generators, np_basis=np_basis)
-    if closed.generators == K.generators:
-        return True, None
-    gens = set(K.generators)
-    return False, next(g for g in closed.generators if g not in gens)
 
 
 def _powers_to_check(n: int):
@@ -142,13 +129,19 @@ def is_normal(
 
 
 def _direct_report(subject, I, np_basis, fired, max_generators):
+    # I^k is closed exactly when k * NP(I) has no lattice point it misses;
+    # the scan runs in lex order, so its first find is the lex-least witness
+    base = I.generators if np_basis is None else tuple(np_basis)
     checked = []
     witness = None
+    K = I
     for k in _powers_to_check(I.dim):
-        ok, w = _closed_power(I, k, np_basis, max_generators)
-        checked.append((k, ok))
-        if not ok:
-            witness = w
+        if k > 1:
+            K = product(K, I)
+        missing = _missing_generators(K, base, k, max_generators)
+        checked.append((k, not missing))
+        if missing:
+            witness = missing[0]
             break
     verdict = NORMAL if witness is None else NOT_NORMAL
     return NormalityReport(

@@ -218,3 +218,45 @@ def test_main_in_process(capsys):
     code = main(["member", "-i", IDEAL_457, "-v", "0,3,3"])
     assert code == 0
     assert capsys.readouterr().out.startswith("inside")
+
+
+def test_repeated_run_command_in_one_process_gives_same_outputs():
+    # the parser is built once per process; reuse must not carry state over
+    argvs = [
+        ["closure", "-i", IDEAL_457],
+        ["is-normal", "--alpha", "4,5,7", "--json"],
+        ["is-normal", "-i", "2,0;0,3"],
+        ["member", "-i", IDEAL_457, "-v", "0,3,3", "--witness"],
+        ["power", "-i", "2,0;0,3", "-k", "2", "--json"],
+        ["closure"],
+    ]
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            code, run = run_command(argv)
+            report = None
+            if run is not None:
+                report = run.report()
+                report.pop("timing_ms")
+                report["lines"] = run.lines
+            out.append((code, report))
+        return out
+
+    first = outputs()
+    assert outputs() == first
+    assert [code for code, _ in first] == [0, 1, 1, 0, 0, 2]
+    assert "alpha" not in first[2][1]["inputs"]
+
+
+def test_closed_pipe_exits_quietly_with_141():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monoclose.cli", "closure", "-i", "300,0;0,301"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before any output arrives
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

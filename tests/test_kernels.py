@@ -60,7 +60,9 @@ def test_minimal_antichain_matches_naive_on_large_inputs(dim):
         # a staircase on a hyperplane is a large antichain: nothing is dropped
         total = top * (dim - 1)
         stair = [v[1:] + (total - sum(v[1:]),) for v in vecs if sum(v[1:]) <= total]
-        for case in (vecs, stair):
+        # a constant coordinate gives ties across a whole split
+        slab = [v[:1] + (top,) + v[2:] for v in vecs]
+        for case in (vecs, stair, slab):
             assert _kernels_py.minimal_antichain(case) == naive_minimal(case)
 
 
