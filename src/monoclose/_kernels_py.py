@@ -19,6 +19,9 @@ work per dimension, for m distinct vectors:
   filtered against the lower half's minima in one dimension less, which
   again splits on a coordinate until three remain (Kung, Luccio and
   Preparata, J. ACM 22(4), 1975), O(m log^(d-2) m).
+
+Below a few dozen points, 3-D and up, each point is simply checked against
+the minimal points kept before it.
 """
 
 from __future__ import annotations
@@ -54,22 +57,20 @@ def minimal_antichain(vectors):
                 out.append(v)
                 low = v[1]
         return out
-    if len(points) <= _NAIVE_POINTS:
-        out = []
-        for v in points:
-            if not any(all(map(le, u, v)) for u in out):
-                out.append(v)
-        return out
-    if dim == 3:
+    if dim == 3 and len(points) > _NAIVE_POINTS:
         keep = _undominated_3d(points, points, 0, online=True)
         return [v for v, ok in zip(points, keep) if ok]
     return _minima(points)
 
 
 def _minima(points):
-    """Minimal elements of lex-sorted distinct ``points``, 4-D and up."""
+    """Minimal elements of lex-sorted distinct ``points``, 3-D and up."""
     if len(points) <= _NAIVE_POINTS:
-        return minimal_antichain(points)
+        out = []
+        for v in points:
+            if not any(all(map(le, u, v)) for u in out):
+                out.append(v)
+        return out
     mid = len(points) // 2
     low = _minima(points[:mid])
     high = _minima(points[mid:])
@@ -228,7 +229,7 @@ def box_closure_scan(bounds, seeds, member, budget=None):
     if n == 0:
         return []
     found = []
-    seps = []  # (nums, den, suffix) with suffix[d] = max of coordinates d..
+    seps = []  # (nums, den, suf): suf[d] = max of sum(nums[d:] * u[d:]) in the box
     prefix = [0] * n
     path = []  # the active dominators of each level above the rows
 

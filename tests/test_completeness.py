@@ -24,6 +24,7 @@ from monoclose.errors import GeneratorBudgetError
 from monoclose.ideals import MonomialIdeal, power
 from monoclose.newton import _scan_member, closure, closure_of_power, np_member
 from monoclose.normality import NORMAL, is_integrally_closed, is_normal
+from test_kernels import naive_minimal
 
 MAX_BOX = 700
 
@@ -36,18 +37,10 @@ def generator_box(gens):
     return tuple(max(g[i] for g in gens) for i in range(len(gens[0])))
 
 
-def minimal(points):
-    points = sorted(set(points))
-    return [
-        v for v in points
-        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in points)
-    ]
-
-
 def brute_closure(I):
     """Minimal generators of closure(I): every box point, decided one by one."""
     inside = [v for v in box(generator_box(I.generators)) if np_member(I, v).is_inside]
-    return minimal(inside)
+    return naive_minimal(inside)
 
 
 def reference_scan(bounds, seeds, member, budget=None, log=None):

@@ -57,7 +57,7 @@ def test_minimal_antichain_matches_naive_on_large_inputs(dim):
     rng = random.Random(dim)
     for size, top in ((300, 6), (600, 40), (400, 1000)):
         vecs = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(size)]
-        # a staircase on a hyperplane is a large antichain: nothing is dropped
+        # points on a hyperplane form an antichain: every distinct one is kept
         total = top * (dim - 1)
         stair = [v[1:] + (total - sum(v[1:]),) for v in vecs if sum(v[1:]) <= total]
         # a constant coordinate gives ties across a whole split
