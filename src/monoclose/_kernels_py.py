@@ -64,7 +64,11 @@ def minimal_antichain(vectors):
 
 
 def _minima(points):
-    """Minimal elements of lex-sorted distinct ``points``, 3-D and up."""
+    """Minimal elements of lex-sorted distinct ``points``, 3-D and up.
+
+    A few points are checked directly; more (only 4-D and up get here with
+    more) are split into halves.
+    """
     if len(points) <= _NAIVE_POINTS:
         out = []
         for v in points:
