@@ -153,6 +153,8 @@ def _membership_certificate(verdict) -> dict:
 
 def _list_generators(run: _Run, gens, noun="minimal generators"):
     run.verdict = {"count": len(gens), "generators": _vec_list(gens)}
+    if run.as_json:
+        return  # emit shows only the report
     run.text(f"{len(gens)} {noun}")
     for g in gens:
         run.text(format_vector(g))

@@ -20,12 +20,22 @@ work per dimension, for m distinct vectors:
 
 Below a few dozen points, 3-D and up, each point is simply checked against
 the minimal points kept before it.
+
+Ideal products go through ``pair_sums_antichain``, which packs each vector
+into one int: coordinate 0 in the most significant field, every field w
+bits wide, w being the bit length of the largest possible coordinate sum.
+Adding two keys then adds the vectors field by field without a carry, and
+comparing keys compares the vectors lexicographically, exactly at any size.
+The pairwise sums are int additions; of the sums sharing all but the last
+coordinate (the prefix ``s >> w``) only the least can be minimal, so one
+is kept per prefix.  The survivors are swept as keys in 1-D and 2-D and
+decoded to tuples for the minimal-elements pass in 3-D and up.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add, itemgetter, le
+from operator import itemgetter, le
 
 from .errors import GeneratorBudgetError
 
@@ -182,9 +192,45 @@ def _undominated_3d(A, B, c, online=False):
 
 
 def pair_sums_antichain(left, right):
-    """Minimal antichain of all pairwise sums ``a + b``."""
-    sums = {tuple(map(add, a, b)) for a in left for b in right}
-    return _minimal_antichain(sums)
+    """Minimal antichain of all pairwise sums ``a + b``, lex-sorted.
+
+    The sums are taken on packed keys (see the module docstring).
+    """
+    if not left or not right:
+        return []
+    dim = len(left[0])
+    # every coordinate sum is below 2**w, so no field carries into the next
+    w = (max(map(max, left)) + max(map(max, right))).bit_length() or 1
+    right = _pack(right, w)
+    sums = sorted({a + b for a in _pack(left, w) for b in right}, reverse=True)
+    # walked in descending order, each prefix s >> w is last written with
+    # its least sum, i.e. its least last coordinate
+    keys = list({s >> w: s for s in sums}.values())
+    keys.reverse()
+    mask = (1 << w) - 1
+    if dim == 1:
+        return [(keys[0],)]
+    if dim == 2:
+        out = []
+        low = mask + 1
+        for s in keys:
+            if s & mask < low:
+                low = s & mask
+                out.append((s >> w, low))
+        return out
+    shifts = range(w * (dim - 1), -1, -w)
+    return _minimal_antichain([tuple([s >> i & mask for i in shifts]) for s in keys])
+
+
+def _pack(vectors, w):
+    # one int per vector, coordinate 0 in the most significant w-bit field
+    keys = []
+    for v in vectors:
+        key = 0
+        for c in v:
+            key = key << w | c
+        keys.append(key)
+    return keys
 
 
 def dominates_any(gens, v):

@@ -132,9 +132,10 @@ def is_normal(
     return _direct_report(I, I, np_basis, ["none"], max_generators)
 
 
-def _direct_report(subject, I, np_basis, fired, max_generators):
+def _direct_report(subject, I, np_basis, fired, max_generators, closed=False):
     # I^k is closed exactly when k * NP(I) has no lattice point it misses;
-    # the scan runs in lex order, so its first find is the lex-least witness
+    # the scan runs in lex order, so its first find is the lex-least witness.
+    # ``closed``: I is known to be integrally closed, so k = 1 needs no scan.
     base = I.generators if np_basis is None else tuple(np_basis)
     checked = []
     witness = None
@@ -142,6 +143,9 @@ def _direct_report(subject, I, np_basis, fired, max_generators):
     for k in _powers_to_check(I.dim):
         if k > 1:
             K = product(K, I)
+        elif closed:
+            checked.append((1, True))
+            continue
         missing = _missing_generators(K, base, k, max_generators)
         checked.append((k, not missing))
         if missing:
@@ -243,7 +247,8 @@ def pure_power_normality(
     fired.append("none")
     J = closure(_diag_ideal(work), max_generators)
     report = _direct_report(
-        alpha, J, _diag_ideal(work).generators, fired, max_generators
+        alpha, J, _diag_ideal(work).generators, fired, max_generators,
+        closed=True,
     )
     if work != alpha:
         report = NormalityReport(

@@ -46,6 +46,15 @@ def test_run_command_returns_report_without_printing(capsys):
     assert report["verdict"]["count"] == 19
 
 
+def test_json_runs_format_no_generator_lines():
+    # emit drops text lines in --json mode, so none are formatted at all
+    for argv in (["closure", "-i", IDEAL_457], ["power", "-i", "2,0;0,3", "-k", "3"]):
+        code, run = run_command(argv + ["--json"])
+        assert code == 0
+        assert run.lines == []
+        assert run.report()["verdict"]["count"] > 0
+
+
 def test_closure_text_output():
     out = invoke("closure", "-i", IDEAL_457)
     assert out.returncode == 0

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monoclose
@@ -55,7 +55,26 @@ def test_minimal_antichain_matches_naive_on_large_inputs(dim):
             assert kernels.minimal_antichain(case) == naive_minimal(case)
 
 
+BIG, HUGE = 1 << 40, 1 << 70
+
+
 @given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d, max_len=12), vectors_strategy(d, max_len=12))))
+# the packed kernel makes its fields w bits wide, w the bit length of the
+# largest left plus the largest right coordinate: all zeros; sums landing
+# on 2**4 - 1 with w = 4 and on 2**4 with w = 5; huge coordinates beside
+# small ones; an empty factor
+@example(([(0,)], [(0,), (0,)]))
+@example(([(0, 0, 0)], [(0, 0, 0)]))
+@example(([(0, 0, 0), (0, 0, 0)], [(0, 0, 0), (0, 0, 0)]))
+@example(([(8, 0), (0, 7), (3, 3)], [(7, 0), (0, 7), (1, 2)]))
+@example(([(8, 0, 1), (0, 8, 0), (0, 0, 8), (3, 3, 3)], [(0, 0, 7), (7, 0, 0), (1, 7, 0)]))
+@example(([(0, 8), (8, 0), (7, 7)], [(0, 7), (8, 0), (0, 8)]))
+@example(([(8, 0, 8), (0, 8, 0), (7, 7, 7)], [(8, 8, 0), (0, 0, 8), (1, 1, 1)]))
+@example(([(0, 0, 8, 0), (0, 16, 0, 0), (4, 4, 4, 4)], [(0, 0, 8, 0), (0, 0, 0, 16), (0, 1, 0, 0)]))
+@example(([(BIG, 3, 0), (2, HUGE, 5), (0, 0, HUGE)], [(0, 1, HUGE), (7, 0, 0), (BIG, BIG, 1)]))
+@example(([(HUGE, 0), (1, 1), (0, BIG)], [(HUGE, HUGE), (0, 2), (3, 0)]))
+@example(([], [(1, 2)]))
+@example(([(1, 2, 3)], []))
 def test_pair_sums_antichain_matches_naive(pair):
     left, right = pair
     sums = [tuple(a + b for a, b in zip(g, h)) for g in left for h in right]

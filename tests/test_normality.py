@@ -1,5 +1,6 @@
 """Integral closedness, normality (with and without shortcuts), quasinormality."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -115,6 +116,34 @@ def test_normal_ideal_has_closed_small_powers(alpha):
         J = closure(diag)
         for k in range(1, n):
             assert is_integrally_closed(power(J, k))[0]
+
+
+def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
+    # J = closure(diag) is closed by construction, so the pure-power route
+    # scans only k >= 2; is_normal knows nothing of J and still scans k = 1
+    real = normality._missing_generators
+    thresholds = []
+
+    def spy(target, base_gens, threshold, max_generators):
+        thresholds.append(threshold)
+        return real(target, base_gens, threshold, max_generators)
+
+    monkeypatch.setattr(normality, "_missing_generators", spy)
+    grid = [(3,), (2, 5), (4, 5, 7), (2, 3, 4, 5)] + list(
+        itertools.product(range(2, 6), repeat=3)
+    )
+    for alpha in grid:
+        thresholds.clear()
+        report = pure_power_normality(alpha, use_shortcuts=False)
+        assert thresholds == [k for k, _ in report.checked_powers if k > 1]
+        thresholds.clear()
+        diag = normality._diag_ideal(alpha)
+        direct = is_normal(closure(diag), np_basis=diag.generators)
+        assert thresholds == [k for k, _ in direct.checked_powers]
+        assert (report.verdict, report.checked_powers, report.failing_witness,
+                report.shortcuts, report.representative) == (
+            direct.verdict, direct.checked_powers, direct.failing_witness,
+            direct.shortcuts, direct.representative)
 
 
 def test_shortcut_routing():
