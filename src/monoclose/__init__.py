@@ -28,7 +28,6 @@ from .newton import (
     DependenceWitness,
     MembershipVerdict,
     closure,
-    closure_of_power,
     dependence_witness,
     np_member,
     pure_power_member,
@@ -78,7 +77,6 @@ __all__ = [
     "DependenceWitness",
     "MembershipVerdict",
     "closure",
-    "closure_of_power",
     "dependence_witness",
     "np_member",
     "pure_power_member",

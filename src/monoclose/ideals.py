@@ -91,13 +91,7 @@ def _same_dim(I: MonomialIdeal, other_dim: int, what: str):
 
 def minimalize(candidates, dim: int) -> MonomialIdeal:
     """Ideal generated by ``candidates``, reduced to its minimal antichain."""
-    gens = [_check_vector(v, dim) for v in candidates]
-    return MonomialIdeal._from_antichain(dim, kernels.minimal_antichain(gens))
-
-
-def divides(g: Vector, v: Vector) -> bool:
-    """Componentwise g <= v, i.e. the monomial x^g divides x^v."""
-    return all(a <= b for a, b in zip(g, v))
+    return MonomialIdeal(dim, tuple(candidates))
 
 
 def contains_monomial(I: MonomialIdeal, v) -> bool:
@@ -164,13 +158,3 @@ def is_m_primary(I: MonomialIdeal) -> bool:
         if len(support) == 1:
             covered.add(support[0])
     return len(covered) == I.dim
-
-
-def scale(v: Vector, k: int) -> Vector:
-    """Componentwise multiple k*v."""
-    return tuple(k * c for c in v)
-
-
-def add(u: Vector, v: Vector) -> Vector:
-    """Componentwise sum."""
-    return tuple(a + b for a, b in zip(u, v))

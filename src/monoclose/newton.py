@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import kernels
-from .errors import DegenerateIdealError, DimensionMismatchError
-from .ideals import MonomialIdeal, _check_vector, power
+from .errors import DegenerateIdealError
+from .ideals import MonomialIdeal, _check_vector
 from .simplex import max_weight_lp
 
 INSIDE = "inside"
@@ -186,12 +186,6 @@ def _missing_generators(target: MonomialIdeal, base_gens, threshold, max_generat
     )
 
 
-def _closure_scan(target: MonomialIdeal, base_gens, threshold, max_generators):
-    found = _missing_generators(target, base_gens, threshold, max_generators)
-    gens = kernels.minimal_antichain(list(target.generators) + found)
-    return MonomialIdeal._from_antichain(target.dim, gens)
-
-
 def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdeal:
     """Integral closure: the ideal of all lattice points of NP(I).
 
@@ -200,28 +194,9 @@ def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdea
     coordinate stays in the polyhedron), so a pruned box scan finds them all.
     """
     _require_proper(I, "integral closure")
-    return _closure_scan(I, I.generators, 1, max_generators)
-
-
-def closure_of_power(
-    I: MonomialIdeal,
-    k: int,
-    max_generators: int | None = None,
-    np_basis=None,
-) -> MonomialIdeal:
-    """closure(I^k), deciding membership against k * NP(I) directly.
-
-    Equivalent to closure(power(I, k)) but keeps the LP columns those of I,
-    which stay few while the power's generator count grows.  ``np_basis``
-    may supply an even smaller column set; it must span the same Newton
-    polyhedron as I (for instance the pure powers an ideal is the closure
-    of), which the caller is trusted to guarantee.
-    """
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    _require_proper(I, "integral closure")
-    base = I.generators if np_basis is None else tuple(np_basis)
-    return _closure_scan(power(I, k), base, k, max_generators)
+    found = _missing_generators(I, I.generators, 1, max_generators)
+    gens = kernels.minimal_antichain(list(I.generators) + found)
+    return MonomialIdeal._from_antichain(I.dim, gens)
 
 
 def _witness_search(gens, v, k):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DegenerateIdealError
 from .ideals import (
     MonomialIdeal,
     colon_by_maximal,
@@ -117,28 +116,29 @@ def _powers_to_check(n: int):
     return (1,) if n == 1 else tuple(range(1, n))
 
 
-def is_normal(
-    I: MonomialIdeal,
-    max_generators: int | None = None,
-    np_basis=None,
-) -> NormalityReport:
-    """Direct normality decision: the first n-1 powers must be closed.
-
-    ``np_basis`` optionally supplies smaller membership columns spanning the
-    same Newton polyhedron as I (see closure_of_power); verdicts are
-    identical either way.
-    """
+def is_normal(I: MonomialIdeal, max_generators: int | None = None) -> NormalityReport:
+    """Direct normality decision: the first n-1 powers must be closed."""
     _require_proper(I, "normality")
-    return _direct_report(I, I, np_basis, ["none"], max_generators)
+    checked, witness = _check_powers(I, I.generators, max_generators)
+    return NormalityReport(
+        subject=I,
+        verdict=NORMAL if witness is None else NOT_NORMAL,
+        checked_powers=checked,
+        failing_witness=witness,
+        shortcuts=("none",),
+    )
 
 
-def _direct_report(subject, I, np_basis, fired, max_generators, closed=False):
-    # I^k is closed exactly when k * NP(I) has no lattice point it misses;
-    # the scan runs in lex order, so its first find is the lex-least witness.
-    # ``closed``: I is known to be integrally closed, so k = 1 needs no scan.
-    base = I.generators if np_basis is None else tuple(np_basis)
+def _check_powers(I, base_gens, max_generators, closed=False):
+    """Closedness of I^k for the powers to check, up to the first failure.
+
+    ``base_gens`` span NP(I), so I^k is closed exactly when k * NP(base_gens)
+    has no lattice point it misses; the scan runs in lex order, so its first
+    find is the lex-least witness.  ``closed``: I is known to be integrally
+    closed, so k = 1 needs no scan.  Returns the (k, closed?) pairs and the
+    witness, or None when every power checked is closed.
+    """
     checked = []
-    witness = None
     K = I
     for k in _powers_to_check(I.dim):
         if k > 1:
@@ -146,20 +146,11 @@ def _direct_report(subject, I, np_basis, fired, max_generators, closed=False):
         elif closed:
             checked.append((1, True))
             continue
-        missing = _missing_generators(K, base, k, max_generators)
+        missing = _missing_generators(K, base_gens, k, max_generators)
         checked.append((k, not missing))
         if missing:
-            witness = missing[0]
-            break
-    verdict = NORMAL if witness is None else NOT_NORMAL
-    return NormalityReport(
-        subject=subject,
-        verdict=verdict,
-        checked_powers=tuple(checked),
-        failing_witness=witness,
-        shortcuts=tuple(fired),
-        representative=None,
-    )
+            return tuple(checked), missing[0]
+    return tuple(checked), None
 
 
 def _diag_ideal(alpha) -> MonomialIdeal:
@@ -168,6 +159,17 @@ def _diag_ideal(alpha) -> MonomialIdeal:
         tuple(alpha[i] if j == i else 0 for j in range(n)) for i in range(n)
     ]
     return MonomialIdeal(n, tuple(gens))
+
+
+def _settling_shortcut(alpha):
+    """The first shortcut that proves closure((x_i^alpha_i)) normal, or None."""
+    if len(set(alpha)) <= 2:
+        return "two_exponent"
+    if gcd(*alpha) > len(alpha) - 2:
+        return "gcd"
+    if _chain_applies(alpha):
+        return "divisibility_chain"
+    return None
 
 
 def _chain_applies(alpha) -> bool:
@@ -218,48 +220,31 @@ def pure_power_normality(
         raise ValueError("pure-power exponents must all be >= 1")
     fired: list[str] = []
     work = alpha
+    settled = None
+    while use_shortcuts:
+        settled = _settling_shortcut(work)
+        if settled or (reduced := _lcm_shift_reduce(work)) is None:
+            break
+        fired.append("lcm_shift")
+        work = reduced
+    fired.append(settled or "none")
 
-    def shortcut_report():
-        return NormalityReport(
-            subject=alpha,
-            verdict=NORMAL,
-            shortcuts=tuple(fired),
-            representative=work if work != alpha else None,
+    checked, witness = (), None
+    if not settled:
+        # J = closure(diag) is closed, and diag spans NP(J) with fewer columns
+        diag = _diag_ideal(work)
+        checked, witness = _check_powers(
+            closure(diag, max_generators), diag.generators, max_generators,
+            closed=True,
         )
-
-    if use_shortcuts:
-        while True:
-            if len(set(work)) <= 2:
-                fired.append("two_exponent")
-                return shortcut_report()
-            if gcd(*work) > len(work) - 2:
-                fired.append("gcd")
-                return shortcut_report()
-            if _chain_applies(work):
-                fired.append("divisibility_chain")
-                return shortcut_report()
-            reduced = _lcm_shift_reduce(work)
-            if reduced is None:
-                break
-            fired.append("lcm_shift")
-            work = reduced
-
-    fired.append("none")
-    J = closure(_diag_ideal(work), max_generators)
-    report = _direct_report(
-        alpha, J, _diag_ideal(work).generators, fired, max_generators,
-        closed=True,
+    return NormalityReport(
+        subject=alpha,
+        verdict=NORMAL if witness is None else NOT_NORMAL,
+        checked_powers=checked,
+        failing_witness=witness,
+        shortcuts=tuple(fired),
+        representative=work if work != alpha else None,
     )
-    if work != alpha:
-        report = NormalityReport(
-            subject=alpha,
-            verdict=report.verdict,
-            checked_powers=report.checked_powers,
-            failing_witness=report.failing_witness,
-            shortcuts=report.shortcuts,
-            representative=work,
-        )
-    return report
 
 
 def _semigroup_bits(gens, limit):
@@ -280,6 +265,25 @@ def _iter_bits(x):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def _part_sums(one_part, base, step, bound, mask):
+    """parts[p], p = 0..bound: the sums of p elements of ``one_part``.
+
+    ``one_part`` is the semigroup restricted to t >= base, ``step`` its
+    largest generator.  Each element of one_part is t + s with s in the
+    semigroup and t in one_part below base + step (the first partial sum of
+    its generators to reach base), and adding s to a sum of p parts leaves a
+    sum of p parts; so shifting by those few t builds each sumset.
+    """
+    window = one_part & (((1 << step) - 1) << base)
+    parts = [0, one_part]
+    while len(parts) <= bound:
+        grown = 0
+        for b in _iter_bits(window):
+            grown |= parts[-1] << b
+        parts.append(grown & mask)
+    return parts
 
 
 def quasinormality_check(alpha, bound: int) -> QuasinormalityVerdict:
@@ -310,22 +314,21 @@ def quasinormality_check(alpha, bound: int) -> QuasinormalityVerdict:
             f"quasinormality scan needs {bits} bits of bitmasks, "
             f"more than the limit of {QUASINORMAL_MAX_BITS}; lower the bound"
         )
-    reach = _semigroup_bits([base // a for a in alpha], limit)
-    mask = (1 << (limit + 1)) - 1
-    # parts[p]: numerators expressible as a sum of p semigroup elements,
-    # each >= base
+    gens = [base // a for a in alpha]
+    reach = _semigroup_bits(gens, limit)
     one_part = reach & ~((1 << base) - 1)
-    parts = [0, one_part]
-    while len(parts) <= bound:
-        grown = 0
-        for b in _iter_bits(one_part):
-            grown |= parts[-1] << b
-        parts.append(grown & mask)
+    parts = _part_sums(one_part, base, max(gens), bound, (1 << (limit + 1)) - 1)
 
-    for t in _iter_bits(reach):
-        for p in range(1, t // base + 1):
-            if not (parts[p] >> t) & 1:
-                return QuasinormalityVerdict(
-                    alpha, bound, COUNTEREXAMPLE_FOUND, (Fraction(t, base), p)
-                )
-    return QuasinormalityVerdict(alpha, bound, QUASINORMAL_UP_TO_BOUND, None)
+    # a failure is a semigroup numerator t >= p * base outside parts[p];
+    # the least t is reported, then the least p
+    failures = []
+    for p in range(1, bound + 1):
+        fails = reach & ~parts[p] & ~((1 << (p * base)) - 1)
+        if fails:
+            failures.append(((fails & -fails).bit_length() - 1, p))
+    if not failures:
+        return QuasinormalityVerdict(alpha, bound, QUASINORMAL_UP_TO_BOUND, None)
+    t, p = min(failures)
+    return QuasinormalityVerdict(
+        alpha, bound, COUNTEREXAMPLE_FOUND, (Fraction(t, base), p)
+    )

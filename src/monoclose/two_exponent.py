@@ -22,7 +22,7 @@ from math import comb
 from .errors import GeneratorBudgetError
 from .ideals import MonomialIdeal, minimalize, power
 from .newton import closure, pure_power_member
-from .normality import NormalityReport, is_normal
+from .normality import _diag_ideal, is_normal
 
 DEFAULT_F_BUDGET = 10**6
 
@@ -177,12 +177,7 @@ def ideal_J(spec: TwoExponentSpec, budget: int = DEFAULT_F_BUDGET) -> MonomialId
 
 def ideal_I(spec: TwoExponentSpec) -> MonomialIdeal:
     """The pure-power ideal (x_1^ks, ..., x_m^ks, y_1^kl, ..., y_n^kl)."""
-    alpha = spec.alpha_vector()
-    dim = spec.dim
-    gens = [
-        tuple(alpha[i] if j == i else 0 for j in range(dim)) for i in range(dim)
-    ]
-    return MonomialIdeal(dim, tuple(gens))
+    return _diag_ideal(spec.alpha_vector())
 
 
 def socle_generators(spec: TwoExponentSpec) -> list:
@@ -203,6 +198,15 @@ def socle_generators(spec: TwoExponentSpec) -> list:
     return out
 
 
+def _first_difference(gens, expected):
+    """First of ``gens`` missing from ``expected``, else the reverse; None if equal."""
+    mine, theirs = set(gens), set(expected)
+    return next(
+        (g for g in gens if g not in theirs),
+        next((g for g in expected if g not in mine), None),
+    )
+
+
 def verify_all(
     spec: TwoExponentSpec,
     budget: int = DEFAULT_F_BUDGET,
@@ -218,82 +222,23 @@ def verify_all(
     """
     alpha = spec.alpha_vector()
     J = ideal_J(spec, budget)
-    checks = []
-
-    offender = None
-    for g in J.generators:
-        if not pure_power_member(alpha, g):
-            offender = g
-            break
-    checks.append(
-        VerificationCheck(
-            "generators_integral",
-            offender is None,
-            "every J_k generator is inside NP(I_k)",
-            offender,
-        )
-    )
-
-    J1 = ideal_J(replace(spec, k=1), budget)
-    powered = power(J1, spec.k)
-    offender = None
-    if powered.generators != J.generators:
-        mine = set(J.generators)
-        offender = next(
-            (g for g in powered.generators if g not in mine),
-            next((g for g in J.generators if g not in set(powered.generators)), None),
-        )
-    checks.append(
-        VerificationCheck(
-            "power_identity",
-            powered.generators == J.generators,
-            "J_1^k and J_k have identical generators",
-            offender,
-        )
-    )
-
+    J1 = J if spec.k == 1 else ideal_J(replace(spec, k=1), budget)
     closed = closure(ideal_I(spec), max_generators)
-    offender = None
-    if closed.generators != J.generators:
-        mine = set(J.generators)
-        offender = next(
-            (g for g in closed.generators if g not in mine),
-            next((g for g in J.generators if g not in set(closed.generators)), None),
-        )
-    checks.append(
-        VerificationCheck(
-            "closure_identity",
-            closed.generators == J.generators,
-            "closure(I_k) and J_k have identical generators",
-            offender,
-        )
+    socle = socle_generators(spec)
+    table = (
+        ("generators_integral", "every J_k generator is inside NP(I_k)",
+         next((g for g in J.generators if not pure_power_member(alpha, g)), None)),
+        ("power_identity", "J_1^k and J_k have identical generators",
+         _first_difference(power(J1, spec.k).generators, J.generators)),
+        ("closure_identity", "closure(I_k) and J_k have identical generators",
+         _first_difference(closed.generators, J.generators)),
+        ("socle_outside", "every socle vector is outside NP(I_k)",
+         next((v for v in socle if pure_power_member(alpha, v)), None)),
+        ("normality", "J_1 is normal (first dim-1 powers integrally closed)",
+         is_normal(J1, max_generators).failing_witness),
     )
-
-    offender = None
-    for v in socle_generators(spec):
-        if pure_power_member(alpha, v):
-            offender = v
-            break
-    checks.append(
-        VerificationCheck(
-            "socle_outside",
-            offender is None,
-            "every socle vector is outside NP(I_k)",
-            offender,
-        )
+    checks = tuple(
+        VerificationCheck(name, offender is None, detail, offender)
+        for name, detail, offender in table
     )
-
-    base = replace(spec, k=1)
-    report: NormalityReport = is_normal(
-        ideal_J(base, budget), max_generators, np_basis=ideal_I(base).generators
-    )
-    checks.append(
-        VerificationCheck(
-            "normality",
-            report.is_normal,
-            "J_1 is normal (first dim-1 powers integrally closed)",
-            report.failing_witness,
-        )
-    )
-
-    return TwoExponentReport(spec, tuple(checks))
+    return TwoExponentReport(spec, checks)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from monoclose import kernels
 from monoclose.errors import GeneratorBudgetError
 from monoclose.ideals import MonomialIdeal, power
-from monoclose.newton import _scan_member, closure, closure_of_power, np_member
+from monoclose.newton import _scan_member, closure, np_member
 from monoclose.normality import NORMAL, is_integrally_closed, is_normal
 from test_kernels import naive_minimal
 
@@ -113,9 +113,6 @@ def test_closure_routes_match_brute_force(I, k):
     K = small_power(I, k)
     expected = brute_closure(K)
     assert list(closure(K).generators) == expected
-    assert list(closure_of_power(I, k).generators) == expected
-    basis = brute_closure(I)
-    assert list(closure_of_power(I, k, np_basis=basis).generators) == expected
 
 
 @settings(max_examples=60, deadline=None)

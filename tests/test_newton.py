@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoclose.errors import DegenerateIdealError
-from monoclose.ideals import MonomialIdeal, contains_monomial, power
+from monoclose.ideals import MonomialIdeal, contains_monomial
 from monoclose.newton import (
     closure,
-    closure_of_power,
     dependence_witness,
     np_member,
     pure_power_member,
@@ -139,21 +138,6 @@ def test_closure_contains_and_is_idempotent(I):
     # and every closure generator is certified inside the polyhedron
     for g in C.generators:
         assert np_member(I, g).is_inside
-
-
-@given(proper_ideal(max_dim=3, max_coord=6, max_gens=4), st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_closure_of_power_matches_power_closure(I, k):
-    direct = closure(power(I, k))
-    via_threshold = closure_of_power(I, k)
-    assert direct == via_threshold
-
-
-def test_closure_of_power_accepts_equivalent_basis():
-    I = MonomialIdeal(3, ((4, 0, 0), (0, 5, 0), (0, 0, 7)))
-    J = closure(I)
-    # NP(J) = NP(I), so membership may be decided against I's generators
-    assert closure_of_power(J, 2, np_basis=I.generators) == closure_of_power(J, 2)
 
 
 def test_dependence_witness_known_case():

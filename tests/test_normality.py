@@ -1,6 +1,7 @@
 """Integral closedness, normality (with and without shortcuts), quasinormality."""
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -138,7 +139,7 @@ def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
         assert thresholds == [k for k, _ in report.checked_powers if k > 1]
         thresholds.clear()
         diag = normality._diag_ideal(alpha)
-        direct = is_normal(closure(diag), np_basis=diag.generators)
+        direct = is_normal(closure(diag))
         assert thresholds == [k for k, _ in direct.checked_powers]
         assert (report.verdict, report.checked_powers, report.failing_witness,
                 report.shortcuts, report.representative) == (
@@ -175,6 +176,13 @@ def test_lcm_shift_reduction():
     assert r.representative == (2, 3, 7)
     direct = pure_power_normality((2, 3, 13), use_shortcuts=False)
     assert r.verdict == direct.verdict == NOT_NORMAL
+    # the shifted report keeps its subject and carries the representative's
+    # direct-route data
+    reduced = pure_power_normality((2, 3, 7), use_shortcuts=False)
+    assert r.subject == (2, 3, 13)
+    assert reduced.subject == (2, 3, 7)
+    assert r.checked_powers == reduced.checked_powers
+    assert r.failing_witness == reduced.failing_witness
 
 
 @given(st.permutations([4, 5, 7]))
@@ -241,6 +249,54 @@ def test_quasinormality_witness_is_genuine():
 def test_quasinormality_requires_coprime():
     with pytest.raises(ValueError):
         quasinormality_check((4, 6), 5)
+
+
+def _reference_part_sums(one_part, bound, mask):
+    # the sumset loop shifting by every element of one_part
+    parts = [0, one_part]
+    while len(parts) <= bound:
+        grown = 0
+        for b in normality._iter_bits(one_part):
+            grown |= parts[-1] << b
+        parts.append(grown & mask)
+    return parts
+
+
+def _reference_witness(reach, parts, base):
+    # every semigroup numerator t in order, every p <= t / base
+    for t in normality._iter_bits(reach):
+        for p in range(1, t // base + 1):
+            if not (parts[p] >> t) & 1:
+                return Fraction(t, base), p
+    return None
+
+
+def _pairwise_coprime(alpha):
+    return all(math.gcd(a, b) == 1 for a, b in itertools.combinations(alpha, 2))
+
+
+def test_quasinormality_matches_the_full_sumset_scan():
+    tuples = [
+        alpha
+        for n in (1, 2, 3)
+        for alpha in itertools.combinations_with_replacement(range(1, 10), n)
+        if _pairwise_coprime(alpha) and max(alpha) > 1
+    ]
+    found = 0
+    for alpha in tuples:
+        base = math.lcm(*alpha)
+        gens = [base // a for a in alpha]
+        bound = max(2, 400 // base)
+        limit = bound * base
+        mask = (1 << (limit + 1)) - 1
+        reach = normality._semigroup_bits(gens, limit)
+        one_part = reach & ~((1 << base) - 1)
+        parts = _reference_part_sums(one_part, bound, mask)
+        assert normality._part_sums(one_part, base, max(gens), bound, mask) == parts, alpha
+        witness = _reference_witness(reach, parts, base)
+        assert quasinormality_check(alpha, bound).witness == witness, alpha
+        found += witness is not None
+    assert found
 
 
 def _refuse_to_allocate(gens, limit):
