@@ -151,13 +151,17 @@ def _membership_certificate(verdict) -> dict:
     }
 
 
-def _list_generators(run: _Run, gens, noun="minimal generators"):
-    run.verdict = {"count": len(gens), "generators": _vec_list(gens)}
+def _list_vectors(run: _Run, heading: str, vectors):
     if run.as_json:
         return  # emit shows only the report
-    run.text(f"{len(gens)} {noun}")
-    for g in gens:
-        run.text(format_vector(g))
+    run.text(f"{len(vectors)} {heading}")
+    for v in vectors:
+        run.text(format_vector(v))
+
+
+def _list_generators(run: _Run, gens):
+    run.verdict = {"count": len(gens), "generators": _vec_list(gens)}
+    _list_vectors(run, "minimal generators", gens)
 
 
 def _cmd_closure(args, run: _Run) -> int:
@@ -305,9 +309,7 @@ def _cmd_two_exp_gens(args, run: _Run) -> int:
     else:
         vectors, kind = generators_F(spec, args.max_gens), "F_k vectors"
     run.verdict = {"kind": kind.split()[0], "count": len(vectors), "vectors": _vec_list(vectors)}
-    run.text(f"{len(vectors)} {kind}")
-    for v in vectors:
-        run.text(format_vector(v))
+    _list_vectors(run, kind, vectors)
     return 0
 
 

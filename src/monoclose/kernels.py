@@ -35,13 +35,16 @@ decoded to tuples for the minimal-elements pass in 3-D and up.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter, le
+from math import prod
+from operator import itemgetter, le, mul
 
 from .errors import GeneratorBudgetError
 
 # Below these sizes plain double loops are cheaper than a sweep structure.
 _NAIVE_POINTS = 24
 _NAIVE_PAIRS = 256
+# Most height cells a box scan may allocate (a list of 8-byte slots, 32 MB).
+SCAN_MAX_CELLS = 2**22
 
 
 def backend_name() -> str:
@@ -272,12 +275,19 @@ def box_closure_scan(bounds, seeds, member, budget=None):
     find divides and no separator returned so far excludes; the skips below
     only leave out points that one of those two rules excludes.
 
-    * Dominators are filtered by prefix down the walk: at depth d only the
-      seeds and finds with ``g[:d] <= prefix`` are kept, sorted by ``g[d]``
-      and activated as ``t`` grows.  A find joins every level at once.
-      One level above the rows, the least last coordinate of the active
-      dominators is each row's first dominated ``t``, kept as a running
-      minimum.
+    * Each row (a prefix p of all coordinates but the last) is scanned up
+      to its staircase height h(p): the least last coordinate of a seed or
+      find g with ``g[:-1] <= p``.  It satisfies
+      h(p) = min(own(p), min_i h(p - e_i)), own(p) being the least last
+      coordinate of a seed at p, and a find at (p, t) sets h(p) = t.  The
+      heights live in one slab of prod(bounds[1:-1] + 1) cells, indexed by
+      ``p[1:]``, that the walk overwrites in place: a cell holds h(p - e_0),
+      lowered by own(p) as the walk enters p[0], until the walk reaches p.
+      A cell under a separator-skipped prefix keeps a stale value; no
+      region point lies at or below such a prefix, so the true height and
+      the stale one both mean "nothing dominates".  A row of height 0 ends
+      its run of rows, whose cells are all set to 0.  A slab of more than
+      ``SCAN_MAX_CELLS`` cells raises GeneratorBudgetError before the scan.
     * A separator with ``nums >= 0`` excludes, for a fixed prefix, exactly
       the ``t`` below ``ceil(rest / nums[d])``; so each level starts at the
       largest such bound and jumps again when a new separator arrives.
@@ -285,10 +295,24 @@ def box_closure_scan(bounds, seeds, member, budget=None):
     n = len(bounds)
     if n == 0:
         return []
+    last = n - 1
+    free = bounds[last] + 1  # the height of a row that nothing dominates
+    # the slab cell of a row prefix p is sum(p[i] * stride[i]): p[1:] in
+    # mixed radix, while p[0] (stride 0) rolls the slab over
+    radix = [b + 1 for b in bounds[:last]]
+    stride = [0] + [prod(radix[i + 1:]) for i in range(1, last)]
+    cells = prod(radix[1:])
+    if cells > SCAN_MAX_CELLS:
+        raise GeneratorBudgetError(f"box scan needs {cells} height cells, over the cap")
+    height = [free] * cells
+    # the seeds on the box's rows, by first coordinate: (cell, last coordinate)
+    layers = {}
+    for g in seeds:
+        if all(map(le, g[:last], bounds)):
+            layers.setdefault(g[0], []).append((sum(map(mul, g, stride)), g[last]))
     found = []
     seps = []  # (nums, den, suf): suf[d] = max of sum(nums[d:] * u[d:]) in the box
     prefix = [0] * n
-    path = []  # the active dominators of each level above the rows
 
     def first_open(d, t, new_seps):
         # least t' >= t at depth d whose subtree the separators leave open
@@ -305,7 +329,6 @@ def box_closure_scan(bounds, seeds, member, budget=None):
     def scan_row(end):
         # the row at the current prefix, up to (not including) t = end;
         # returns the t found inside, or None
-        last = n - 1
         t = first_open(last, 0, seps)
         while t < end:
             prefix[last] = t
@@ -317,8 +340,6 @@ def box_closure_scan(bounds, seeds, member, budget=None):
                     raise GeneratorBudgetError(
                         f"more than {budget} new generators in box scan"
                     )
-                for active in path:
-                    active.append(v)
                 return t
             if sep is None:
                 t += 1
@@ -332,53 +353,39 @@ def box_closure_scan(bounds, seeds, member, budget=None):
                 t = first_open(last, t + 1, (entry,))
         return None
 
-    def walk_rows(cands):
-        # depth n-2: one row per t
-        d = n - 2
-        pending = sorted(cands, key=itemgetter(d))
-        i = 0
-        first_dom = bounds[-1] + 1
+    def walk(d, base):
+        # the subtree below prefix[:d], whose slab index so far is base
         t = first_open(d, 0, seps)
         while t <= bounds[d]:
-            while i < len(pending) and pending[i][d] <= t:
-                if pending[i][-1] < first_dom:
-                    first_dom = pending[i][-1]
-                i += 1
-            if first_dom == 0:
-                return  # this row and every later one are dominated
             prefix[d] = t
+            cell = base + t * stride[d]
             known = len(seps)
-            hit = scan_row(first_dom)
-            if hit is not None:
-                first_dom = hit
+            if d == 0:  # own(p) joins h(p - e_0) in the cells of this layer
+                for c, h in layers.get(t, ()):
+                    height[c] = min(height[c], h)
+            if d < last - 1:
+                walk(d + 1, cell)
+            else:
+                # h(p) = min(own(p), h(p - e_0), h(p - e_i) for i >= 1), the
+                # first two in this cell, the rest walked earlier in this layer
+                h = height[cell]
+                for i in range(1, d + 1):
+                    if prefix[i] and height[cell - stride[i]] < h:
+                        h = height[cell - stride[i]]
+                if h == 0:
+                    # h never grows along a prefix coordinate, so the later
+                    # rows of this run are 0 too, and later rows read them
+                    end = cell + (bounds[d] - t) * stride[d] + 1
+                    height[cell:end] = [0] * (end - cell)
+                    return
+                hit = scan_row(h)
+                height[cell] = h if hit is None else hit
             t += 1
             if len(seps) > known:
                 t = first_open(d, t, seps[known:])
 
-    def walk(d, cands):
-        if d == n - 2:
-            walk_rows(cands)
-            return
-        pending = sorted(cands, key=itemgetter(d))
-        i = 0
-        active = []
-        path.append(active)
-        t = first_open(d, 0, seps)
-        while t <= bounds[d]:
-            while i < len(pending) and pending[i][d] <= t:
-                active.append(pending[i])
-                i += 1
-            prefix[d] = t
-            known = len(seps)
-            walk(d + 1, active)
-            t += 1
-            if len(seps) > known:
-                t = first_open(d, t, seps[known:])
-        path.pop()
-
-    seeds = [tuple(s) for s in seeds]
     if n == 1:
-        scan_row(min([s[0] for s in seeds], default=bounds[0] + 1))
+        scan_row(min([free] + [g[0] for g in seeds]))
     else:
-        walk(0, seeds)
+        walk(0, 0)
     return found

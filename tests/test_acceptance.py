@@ -414,3 +414,24 @@ def test_criterion_9_quasinormality(capsys):
         witness = "-"
     announce(capsys, 9, ok, f"witness {witness}, (2,3) clean at bound 10", elapsed)
     assert not failures, failures
+
+
+def test_criterion_10_theorem_at_five_variables(capsys):
+    # the paper's theorem at n = 5: every alpha with entries in {s, l} is
+    # normal, decided by scanning J^1..J^4
+    t0 = time.monotonic()
+    failures = []
+    checked = 0
+    for s in range(1, 6):
+        for l in range(s + 1, 6):
+            for count_l in range(6):
+                alpha = (s,) * (5 - count_l) + (l,) * count_l
+                report = pure_power_normality(alpha, use_shortcuts=False)
+                checked += 1
+                if report.verdict != NORMAL or len(report.checked_powers) != 4:
+                    failures.append(alpha)
+    elapsed = time.monotonic() - t0
+    ok = not failures and elapsed < 60
+    announce(capsys, 10, ok, f"{checked} patterns at n = 5, all normal via direct route", elapsed)
+    assert not failures, failures[:5]
+    assert elapsed < 60

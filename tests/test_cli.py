@@ -48,7 +48,11 @@ def test_run_command_returns_report_without_printing(capsys):
 
 def test_json_runs_format_no_generator_lines():
     # emit drops text lines in --json mode, so none are formatted at all
-    for argv in (["closure", "-i", IDEAL_457], ["power", "-i", "2,0;0,3", "-k", "3"]):
+    for argv in (
+        ["closure", "-i", IDEAL_457],
+        ["power", "-i", "2,0;0,3", "-k", "3"],
+        ["two-exp", "gens", "-m", "1", "-n", "1", "-s", "2", "-l", "7", "-k", "3"],
+    ):
         code, run = run_command(argv + ["--json"])
         assert code == 0
         assert run.lines == []
@@ -163,6 +167,15 @@ def test_quasinormal_oversized_scan_is_a_usage_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: quasinormality scan needs")
+
+
+def test_oversized_box_scan_is_a_usage_error(capsys):
+    # the slab for this box would hold 5001 * 5001 cells
+    code = main(["closure", "-i", "1,0,0,0;0,5000,0,0;0,0,5000,0;0,0,0,1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_two_exp_verify():

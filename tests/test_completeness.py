@@ -99,6 +99,8 @@ def general_ideal(draw, max_dim=4):
 
 
 any_ideal = st.one_of(halfspace_ideal(), general_ideal())
+# only at 5 variables does the scan's height slab have three axes
+any_ideal_up_to_5 = st.one_of(halfspace_ideal(max_dim=5), general_ideal(max_dim=5))
 
 
 def small_power(I, k):
@@ -116,7 +118,7 @@ def test_closure_routes_match_brute_force(I, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(any_ideal, st.integers(1, 3))
+@given(any_ideal_up_to_5, st.integers(1, 3))
 def test_box_scan_matches_brute_force_with_and_without_seeds(I, k):
     K = small_power(I, k)
     expected = brute_closure(K)
@@ -131,7 +133,7 @@ def test_box_scan_matches_brute_force_with_and_without_seeds(I, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(any_ideal, st.integers(1, 3), st.booleans())
+@given(any_ideal_up_to_5, st.integers(1, 3), st.booleans())
 def test_box_scan_asks_the_oracle_about_the_reference_points(I, k, seeded):
     K = small_power(I, k)
     bounds = generator_box(K.generators)

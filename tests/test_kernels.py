@@ -172,6 +172,25 @@ def test_box_scan_budget():
     assert out == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
 
+def test_box_scan_ignores_seeds_outside_the_box():
+    # (0, 0, 3, 0) divides no box point, though its third coordinate would
+    # land it on the height cell of the rows at (p0, 1, 0)
+    member = halfspace_member((1, 1, 1, 1), 2)
+    bounds = (1, 2, 2, 3)
+    bare = kernels.box_closure_scan(bounds, [], member)
+    assert (0, 1, 0, 1) in bare
+    assert kernels.box_closure_scan(bounds, [(0, 0, 3, 0)], member) == bare
+
+
+def test_box_scan_refuses_an_oversized_slab_before_scanning():
+    def member(v):
+        raise AssertionError("the oracle was asked")
+
+    assert 5001 * 5001 > kernels.SCAN_MAX_CELLS
+    with pytest.raises(GeneratorBudgetError):
+        kernels.box_closure_scan((1, 5000, 5000, 1), [], member)
+
+
 def test_box_scan_caches_huge_separators_exactly():
     huge = 1 << 70
 
