@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import GeneratorBudgetError
 from .ideals import (
     MonomialIdeal,
     colon_by_maximal,
@@ -135,7 +136,8 @@ def _check_powers(I, base_gens, max_generators, closed=False):
     ``base_gens`` span NP(I), so I^k is closed exactly when k * NP(base_gens)
     has no lattice point it misses; the scan runs in lex order, so its first
     find is the lex-least witness.  ``closed``: I is known to be integrally
-    closed, so k = 1 needs no scan.  Returns the (k, closed?) pairs and the
+    closed, so k = 1 needs no scan.  ``max_generators`` also bounds the
+    generator count of each power.  Returns the (k, closed?) pairs and the
     witness, or None when every power checked is closed.
     """
     checked = []
@@ -143,6 +145,11 @@ def _check_powers(I, base_gens, max_generators, closed=False):
     for k in _powers_to_check(I.dim):
         if k > 1:
             K = product(K, I)
+            size = len(K.generators)
+            if max_generators is not None and size > max_generators:
+                raise GeneratorBudgetError(
+                    f"power {k} has {size} generators, over the budget {max_generators}"
+                )
         elif closed:
             checked.append((1, True))
             continue

@@ -178,6 +178,15 @@ def test_oversized_box_scan_is_a_usage_error(capsys):
     assert captured.err.startswith("error:")
 
 
+def test_max_gens_bounds_the_powers_of_a_normality_check(capsys):
+    # J^2 of (5,6,7,8,9,11) has 11,811 generators (J has 874)
+    code = main(["is-normal", "--alpha", "5,6,7,8,9,11", "--direct", "--max-gens", "2000"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_two_exp_verify():
     out = invoke("two-exp", "verify", "-m", "1", "-n", "1", "-s", "2", "-l", "7", "-k", "3")
     assert out.returncode == 0

@@ -35,14 +35,24 @@ def naive_minimal(vectors):
 
 @given(st.data())
 def test_minimal_antichain_matches_naive(data):
-    # every dimension branch of the kernel, 1-D sweep through 5-D recursion
+    # every dimension branch of the kernel: the 1-D and 2-D sweeps, the 3-D
+    # Fenwick tree and, 4-D and 5-D, the double loop and the bitsets
     for dim in range(1, 6):
         vecs = data.draw(vectors_strategy(dim, max_len=80), label=f"dim {dim}")
         assert kernels.minimal_antichain(vecs) == naive_minimal(vecs)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-def test_minimal_antichain_matches_naive_on_large_inputs(dim):
+# At the default cap the 4-D and 5-D inputs take one bitset pass; with the
+# cap at 32 points they also reach the halving, the coordinate split and the
+# 3-D sweep.  The cap is not used below 4-D.
+@pytest.mark.parametrize(
+    "dim, cap",
+    [pytest.param(dim, None, id=str(dim)) for dim in range(1, 6)]
+    + [pytest.param(dim, 32, id=f"{dim}-cap32") for dim in (4, 5)],
+)
+def test_minimal_antichain_matches_naive_on_large_inputs(dim, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(kernels, "_BITSET_POINTS", cap)
     rng = random.Random(dim)
     for size, top in ((300, 6), (600, 40), (400, 1000)):
         vecs = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(size)]
@@ -55,7 +65,54 @@ def test_minimal_antichain_matches_naive_on_large_inputs(dim):
             assert kernels.minimal_antichain(case) == naive_minimal(case)
 
 
+@pytest.mark.parametrize("dim", [4, 5])
+def test_minimal_antichain_splits_above_the_bitset_cap(dim, monkeypatch):
+    # distinct points on a hyperplane are all minimal, and a point raised
+    # from one of them is not; the answer is known without a quadratic check
+    rng = random.Random(dim)
+    total = 40
+    stair = []
+    while len(stair) < 4000:
+        head = [rng.randint(0, total) for _ in range(dim - 1)]
+        if sum(head) <= total:
+            stair.append(tuple(head) + (total - sum(head),))
+    raised = []
+    for v in rng.sample(stair, 1200):
+        i = rng.randrange(dim)
+        raised.append(v[:i] + (v[i] + rng.randint(1, 3),) + v[i + 1:])
+    vecs = stair + raised
+    assert len(set(vecs)) > 2 * kernels._BITSET_POINTS
+    split = kernels.minimal_antichain(vecs)
+    assert split == sorted(set(stair))
+    monkeypatch.setattr(kernels, "_BITSET_POINTS", len(vecs))
+    assert kernels.minimal_antichain(vecs) == split
+
+
 BIG, HUGE = 1 << 40, 1 << 70
+
+
+@st.composite
+def below_case(draw):
+    # small values repeat; some columns hold a single value, some entries
+    # are too wide for a machine word
+    dim = draw(st.integers(3, 6))
+    c = draw(st.integers(0, dim - 3))
+    value = st.one_of(st.integers(0, 3), st.sampled_from([HUGE, HUGE + 1]))
+    flat = draw(st.dictionaries(st.integers(0, dim - 1), value, max_size=dim))
+    point = st.tuples(*[st.just(flat[i]) if i in flat else value for i in range(dim)])
+    A = draw(st.lists(point, max_size=40))
+    B = draw(st.lists(point, min_size=1, max_size=40))
+    return A, B, c
+
+
+@given(below_case())
+def test_below_matches_brute_force(case):
+    A, B, c = case
+    expected = [
+        sum(1 << j for j, a in enumerate(A) if all(x <= y for x, y in zip(a[c:], b[c:])))
+        for b in B
+    ]
+    assert kernels._below(A, B, c) == expected
 
 
 @given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d, max_len=12), vectors_strategy(d, max_len=12))))
