@@ -36,13 +36,24 @@ Adding two keys then adds the vectors field by field without a carry, and
 comparing keys compares the vectors lexicographically, exactly at any size.
 The pairwise sums are int additions; of the sums sharing all but the last
 coordinate (the prefix ``s >> w``) only the least can be minimal, so one
-is kept per prefix.  The survivors are swept as keys in 1-D and 2-D and
-decoded to tuples for the minimal-elements pass in 3-D and up.
+is kept per prefix.  A square forms each unordered pair once.  The
+survivors are swept as keys over their last two coordinates, anew for each
+run of keys that share the coordinates before those: in 1-D and 2-D that
+leaves exactly the minimal sums, and in 3-D and up it drops most of the
+others before the keys are decoded to tuples for the minimal-elements
+pass.  A caller that only scans or multiplies the result can skip that
+pass, since the swept sums already generate the product.
+
+The box scan accepts any generating set as seeds, minimal or not, and
+stops at its first find when the oracle asks it to.  Each separator it
+caches carries the partial sums of its functional over the current
+prefix, which the walk updates as each prefix coordinate changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from math import prod
 from operator import and_, itemgetter, le, mul
 
@@ -234,35 +245,46 @@ def _undominated_3d(A, B, c, online=False):
     return keep
 
 
-def pair_sums_antichain(left, right):
+def pair_sums_antichain(left, right, minimal=True):
     """Minimal antichain of all pairwise sums ``a + b``, lex-sorted.
 
-    The sums are taken on packed keys (see the module docstring).
+    The sums are taken on packed keys (see the module docstring).  With
+    ``minimal`` false the 3-D-and-up minimal-elements pass is skipped: the
+    result is then the swept least sums per prefix, lex-sorted, which
+    generate the product but may hold sums that are not minimal.
     """
     if not left or not right:
         return []
     dim = len(left[0])
     # every coordinate sum is below 2**w, so no field carries into the next
     w = (max(map(max, left)) + max(map(max, right))).bit_length() or 1
+    square = left == right
     right = _pack(right, w)
-    sums = sorted({a + b for a in _pack(left, w) for b in right}, reverse=True)
+    if square:  # each unordered pair once
+        sums = {a + b for i, a in enumerate(right) for b in right[i:]}
+    else:
+        sums = {a + b for a in _pack(left, w) for b in right}
+    sums = sorted(sums, reverse=True)
     # walked in descending order, each prefix s >> w is last written with
     # its least sum, i.e. its least last coordinate
     keys = list({s >> w: s for s in sums}.values())
     keys.reverse()
+    # a 2-D sweep over the last two coordinates, begun anew wherever the
+    # coordinates before them (s >> 2w) change: a sum is dropped when an
+    # earlier one with the same first n - 2 coordinates divides it
     mask = (1 << w) - 1
-    if dim == 1:
-        return [(keys[0],)]
-    if dim == 2:
-        out = []
-        low = mask + 1
-        for s in keys:
-            if s & mask < low:
-                low = s & mask
-                out.append((s >> w, low))
-        return out
+    kept = []
+    group = low = None
+    for s in keys:
+        if s >> 2 * w != group:
+            group, low = s >> 2 * w, mask + 1
+        if s & mask < low:
+            low = s & mask
+            kept.append(s)
     shifts = range(w * (dim - 1), -1, -w)
-    return _minimal_antichain([tuple([s >> i & mask for i in shifts]) for s in keys])
+    points = [tuple([s >> i & mask for i in shifts]) for s in kept]
+    # in 1-D and 2-D the sweep has left exactly the minimal sums
+    return _minimal_antichain(points) if minimal and dim > 2 else points
 
 
 def _pack(vectors, w):
@@ -289,24 +311,53 @@ def dominates_any(gens, v):
     return False
 
 
+def _undivided(A, B):
+    """The b in B, in order, that no a in A divides (a <= b componentwise).
+
+    1-D and 2-D: a running minimum of the last coordinate over A's first
+    coordinates; 3-D and up: the tiers of ``_undominated``.
+    """
+    if not A or not B:
+        return list(B)
+    if len(B[0]) >= 3:
+        return [b for b, ok in zip(B, _undominated(A, B, 0)) if ok]
+    A = sorted(A)
+    firsts = [a[0] for a in A]
+    # lows[r]: the least last coordinate among the r + 1 lex-least a
+    lows = list(accumulate((a[-1] for a in A), min))
+    out = []
+    for b in B:
+        r = bisect_right(firsts, b[0])
+        if not r or lows[r - 1] > b[-1]:
+            out.append(b)
+    return out
+
+
+class _Stop(Exception):
+    """Ends a box scan at the find its oracle marked as the last one."""
+
+
 def box_closure_scan(bounds, seeds, member, budget=None):
     """Find the minimal lattice points of an up-closed region inside a box.
 
     ``bounds``: inclusive upper corner of the box.
     ``seeds``: points already known to be in the region (their multiples are
-    skipped without consulting ``member``).
-    ``member(v)``: exact membership oracle.  Returns ``(True, None)`` or
-    ``(False, sep)`` where ``sep`` is either ``None`` or an integer-scaled
-    separating functional ``(nums, den)`` proving ``sum(nums*u) < den`` for
-    u = v and ``>= den`` for every point of the region (so ``nums >= 0``,
-    the region being up-closed).  Separators are cached and reused so the
-    oracle is only consulted when no cached separator excludes the point.
+    skipped without consulting ``member``), in any order; they need not be
+    an antichain, and only the ideal they generate matters.
+    ``member(v)``: exact membership oracle.  Returns ``(True, stop)`` or
+    ``(False, sep)``.  ``stop`` true ends the scan at v, so that v is its
+    only find.  ``sep`` is either ``None`` or an integer-scaled separating
+    functional ``(nums, den)`` proving ``sum(nums*u) < den`` for u = v and
+    ``>= den`` for every point of the region (so ``nums >= 0``, the region
+    being up-closed).  Separators are cached and reused so the oracle is
+    only consulted when no cached separator excludes the point.
     ``budget``: optional cap on the number of found points; exceeding it
     raises GeneratorBudgetError instead of grinding on.
 
     Returns the list of newly found minimal region points, in lex order.
     The union of ``seeds`` and the result generates region ∩ N^n; points
-    returned are exactly the minimal region points not dominated by a seed.
+    returned are exactly the minimal region points not dominated by a seed
+    (the first of them only, when the oracle says stop there).
 
     The scan walks the box in lexicographic depth-first order, which visits
     every divisor of a point before the point itself; a point that reaches
@@ -331,6 +382,11 @@ def box_closure_scan(bounds, seeds, member, budget=None):
     * A separator with ``nums >= 0`` excludes, for a fixed prefix, exactly
       the ``t`` below ``ceil(rest / nums[d])``; so each level starts at the
       largest such bound and jumps again when a new separator arrives.
+      Here rest = den - sum(nums[:d] * prefix[:d]) - max of
+      sum(nums[d+1:] * u[d+1:]) in the box.  Each cached separator keeps
+      the partial sums sum(nums[:i] * prefix[:i]) for every depth i: they
+      are set when it arrives and the walk updates them each time it
+      changes a prefix coordinate.
     """
     n = len(bounds)
     if n == 0:
@@ -351,15 +407,15 @@ def box_closure_scan(bounds, seeds, member, budget=None):
         if all(map(le, g[:last], bounds)):
             layers.setdefault(g[0], []).append((sum(map(mul, g, stride)), g[last]))
     found = []
-    seps = []  # (nums, den, suf): suf[d] = max of sum(nums[d:] * u[d:]) in the box
+    # (nums, den, suf, part): suf[d] = max of sum(nums[d:] * u[d:]) in the
+    # box, part[d] = sum(nums[:d] * prefix[:d]) at the current prefix
+    seps = []
     prefix = [0] * n
 
     def first_open(d, t, new_seps):
         # least t' >= t at depth d whose subtree the separators leave open
-        for nums, den, suf in new_seps:
-            rest = den - suf[d + 1]
-            for i in range(d):
-                rest -= nums[i] * prefix[i]
+        for nums, den, suf, part in new_seps:
+            rest = den - suf[d + 1] - part[d]
             if rest > 0:
                 if not nums[d]:
                     return bounds[d] + 1
@@ -380,6 +436,8 @@ def box_closure_scan(bounds, seeds, member, budget=None):
                     raise GeneratorBudgetError(
                         f"more than {budget} new generators in box scan"
                     )
+                if sep:  # for an inside point: the oracle's stop flag
+                    raise _Stop
                 return t
             if sep is None:
                 t += 1
@@ -388,7 +446,10 @@ def box_closure_scan(bounds, seeds, member, budget=None):
                 suf = [0] * (n + 1)
                 for i in range(last, -1, -1):
                     suf[i] = suf[i + 1] + nums[i] * bounds[i]
-                entry = (tuple(nums), den, suf)
+                part = [0] * n
+                for i in range(last):
+                    part[i + 1] = part[i] + nums[i] * prefix[i]
+                entry = (tuple(nums), den, suf, part)
                 seps.append(entry)
                 t = first_open(last, t + 1, (entry,))
         return None
@@ -398,6 +459,8 @@ def box_closure_scan(bounds, seeds, member, budget=None):
         t = first_open(d, 0, seps)
         while t <= bounds[d]:
             prefix[d] = t
+            for nums, _, _, part in seps:
+                part[d + 1] = part[d] + nums[d] * t
             cell = base + t * stride[d]
             known = len(seps)
             if d == 0:  # own(p) joins h(p - e_0) in the cells of this layer
@@ -424,8 +487,11 @@ def box_closure_scan(bounds, seeds, member, budget=None):
             if len(seps) > known:
                 t = first_open(d, t, seps[known:])
 
-    if n == 1:
-        scan_row(min([free] + [g[0] for g in seeds]))
-    else:
-        walk(0, 0)
+    try:
+        if n == 1:
+            scan_row(min([free] + [g[0] for g in seeds]))
+        else:
+            walk(0, 0)
+    except _Stop:
+        pass
     return found

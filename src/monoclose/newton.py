@@ -94,12 +94,13 @@ def _halfspace_profile(gens, dim):
     return nums, base, corner
 
 
-def _scan_member(gens, dim, threshold):
+def _scan_member(gens, dim, threshold, stop=False):
     """Membership callback for box scans over NP(I) scaled by ``threshold``.
 
-    Returns a callable v -> (inside, separator) where the separator is
-    integer-scaled as (nums, den): sum(nums * u) >= den for every region
-    point u and < den for the rejected v.
+    Returns a callable v -> (True, stop) or (False, separator), where the
+    separator is integer-scaled as (nums, den): sum(nums * u) >= den for
+    every region point u and < den for the rejected v.  ``stop`` ends the
+    scan at its first find.
     """
     profile = _halfspace_profile(gens, dim)
     if profile is not None:
@@ -112,7 +113,7 @@ def _scan_member(gens, dim, threshold):
             for c, x in zip(nums, v):
                 acc += c * x
             if acc >= den:
-                return True, None
+                return True, stop
             return False, sep
 
         return member
@@ -120,7 +121,7 @@ def _scan_member(gens, dim, threshold):
     def member(v):
         res = max_weight_lp(gens, v, threshold)
         if res[0] == INSIDE:
-            return True, None
+            return True, stop
         sep_frac = res[1]
         scale = lcm(*(c.denominator for c in sep_frac))
         nums = tuple(int(c * scale) for c in sep_frac)
@@ -170,20 +171,17 @@ def pure_power_member(alpha, v) -> bool:
     return sum((base // a) * x for a, x in zip(alpha, v)) >= base
 
 
-def _missing_generators(target: MonomialIdeal, base_gens, threshold, max_generators):
-    """Minimal generators of ``threshold * NP(base_gens)`` missing from target.
+def _missing_generators(seeds, base_gens, threshold, max_generators=None, first=False):
+    """Minimal generators of ``threshold * NP(base_gens)`` that no seed divides.
 
-    A lex-sorted list; empty exactly when target is integrally closed, given
-    that base_gens span NP(target) scaled down by threshold.  Scans the box
-    of target's generators, seeded with them.
+    ``seeds`` generate an ideal K, minimally or not, and base_gens span
+    NP(K) scaled down by threshold.  A lex-sorted list, empty exactly when
+    K is integrally closed; ``first``: only the lex-least one.  Scans the
+    box of the seeds, seeded with them.
     """
-    bounds = tuple(
-        max(g[i] for g in target.generators) for i in range(target.dim)
-    )
-    member = _scan_member(base_gens, target.dim, threshold)
-    return kernels.box_closure_scan(
-        bounds, target.generators, member, max_generators
-    )
+    bounds = tuple(map(max, zip(*seeds)))
+    member = _scan_member(base_gens, len(bounds), threshold, first)
+    return kernels.box_closure_scan(bounds, seeds, member, max_generators)
 
 
 def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdeal:
@@ -192,10 +190,12 @@ def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdea
     Minimal closure generators live in the box bounded by the componentwise
     maximum of the generators (above it, subtracting 1 from an oversized
     coordinate stays in the polyhedron), so a pruned box scan finds them all.
+    The finds are minimal and no generator of I divides one, so the closure
+    keeps every find and the generators of I that no find divides.
     """
     _require_proper(I, "integral closure")
-    found = _missing_generators(I, I.generators, 1, max_generators)
-    gens = kernels.minimal_antichain(list(I.generators) + found)
+    found = _missing_generators(I.generators, I.generators, 1, max_generators)
+    gens = sorted(kernels._undivided(found, I.generators) + found)
     return MonomialIdeal._from_antichain(I.dim, gens)
 
 

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import kernels
 from .errors import GeneratorBudgetError
-from .ideals import (
-    MonomialIdeal,
-    colon_by_maximal,
-    contains_monomial,
-    is_m_primary,
-    product,
-)
+from .ideals import MonomialIdeal, colon_by_maximal, contains_monomial, is_m_primary
 from .newton import _missing_generators, _require_proper, closure, np_member
 
 NORMAL = "normal"
@@ -90,7 +85,7 @@ def is_integrally_closed(I: MonomialIdeal):
     not in I.
     """
     _require_proper(I, "integral closedness")
-    missing = _missing_generators(I, I.generators, 1, None)
+    missing = _missing_generators(I.generators, I.generators, 1, first=True)
     return (False, missing[0]) if missing else (True, None)
 
 
@@ -134,26 +129,33 @@ def _check_powers(I, base_gens, max_generators, closed=False):
     """Closedness of I^k for the powers to check, up to the first failure.
 
     ``base_gens`` span NP(I), so I^k is closed exactly when k * NP(base_gens)
-    has no lattice point it misses; the scan runs in lex order, so its first
-    find is the lex-least witness.  ``closed``: I is known to be integrally
-    closed, so k = 1 needs no scan.  ``max_generators`` also bounds the
-    generator count of each power.  Returns the (k, closed?) pairs and the
-    witness, or None when every power checked is closed.
+    has no lattice point it misses; the scan runs in lex order and stops at
+    its first find, the lex-least witness.  ``closed``: I is known to be
+    integrally closed, so k = 1 needs no scan.  Each power is carried as
+    the pair sums that ``pair_sums_antichain(..., minimal=False)`` keeps,
+    which generate it but are not always minimal: the scan takes them as
+    they are, and they are the next power's operand.  ``max_generators``
+    also bounds the minimal generator count of each power; a power is
+    minimalized only when it has more sums than that.
+    Returns the (k, closed?) pairs and the witness, or None when every power
+    checked is closed.
     """
     checked = []
-    K = I
+    seeds = I.generators
     for k in _powers_to_check(I.dim):
         if k > 1:
-            K = product(K, I)
-            size = len(K.generators)
-            if max_generators is not None and size > max_generators:
-                raise GeneratorBudgetError(
-                    f"power {k} has {size} generators, over the budget {max_generators}"
-                )
+            seeds = kernels.pair_sums_antichain(seeds, I.generators, False)
+            if max_generators is not None and len(seeds) > max_generators:
+                seeds = kernels.minimal_antichain(seeds)
+                if len(seeds) > max_generators:
+                    raise GeneratorBudgetError(
+                        f"power {k} has {len(seeds)} generators, "
+                        f"over the budget {max_generators}"
+                    )
         elif closed:
             checked.append((1, True))
             continue
-        missing = _missing_generators(K, base_gens, k, max_generators)
+        missing = _missing_generators(seeds, base_gens, k, max_generators, first=True)
         checked.append((k, not missing))
         if missing:
             return tuple(checked), missing[0]

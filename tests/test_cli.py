@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from monoclose import normality
+from monoclose import kernels, normality
 from monoclose.cli import build_parser, main, parse_ideal, parse_vector, run_command
 from monoclose.ideals import MonomialIdeal
+from monoclose.newton import closure
 
 IDEAL_457 = "4,0,0;0,5,0;0,0,7"
 
@@ -185,6 +186,23 @@ def test_max_gens_bounds_the_powers_of_a_normality_check(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_max_gens_counts_the_minimal_generators_of_a_power(capsys):
+    # J^2 of (3,4,4,5) has 141 minimal generators among the 143 sums that
+    # the direct route keeps unminimalized: a budget of 142 passes, 140 does not
+    J = closure(normality._diag_ideal((3, 4, 4, 5))).generators
+    assert len(kernels.pair_sums_antichain(J, J, False)) == 143
+    assert len(kernels.pair_sums_antichain(J, J)) == 141
+    argv = ["is-normal", "--alpha", "3,4,4,5", "--direct"]
+    assert main(argv) == 1
+    unbounded = capsys.readouterr().out
+    assert main(argv + ["--max-gens", "142"]) == 1
+    assert capsys.readouterr().out == unbounded
+    assert main(argv + ["--max-gens", "140"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: power 2 has 141 generators, over the budget 140\n"
 
 
 def test_two_exp_verify():

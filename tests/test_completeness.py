@@ -9,21 +9,28 @@ containment and idempotence checks cannot.
 The scan itself is also compared with a plain lexicographic reference that
 records which points reach the oracle: the optimized scan must ask about
 exactly the same points, in the same order, and trip its budget at the same
-found count.
+found count.  The normality routes, which scan unminimalized pair sums, are
+compared with scans of each power's minimal generators.
 """
 
 import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoclose import kernels
 from monoclose.errors import GeneratorBudgetError
-from monoclose.ideals import MonomialIdeal, power
+from monoclose.ideals import MonomialIdeal, minimalize, power
 from monoclose.newton import _scan_member, closure, np_member
-from monoclose.normality import NORMAL, is_integrally_closed, is_normal
+from monoclose.normality import (
+    NORMAL,
+    _diag_ideal,
+    is_integrally_closed,
+    is_normal,
+    pure_power_normality,
+)
 from test_kernels import naive_minimal
 
 MAX_BOX = 700
@@ -132,8 +139,15 @@ def test_box_scan_matches_brute_force_with_and_without_seeds(I, k):
     assert seeded == [g for g in expected if g not in seeds]
 
 
+# a general ideal: the LP oracle returns its separators in the middle of
+# the walk, after the prefix has moved on from where the first one arrived
+LP_MID_WALK = MonomialIdeal(3, ((0, 1, 3), (1, 3, 0), (2, 0, 1)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_ideal_up_to_5, st.integers(1, 3), st.booleans())
+@example(LP_MID_WALK, 1, False)
+@example(LP_MID_WALK, 2, True)
 def test_box_scan_asks_the_oracle_about_the_reference_points(I, k, seeded):
     K = small_power(I, k)
     bounds = generator_box(K.generators)
@@ -143,6 +157,42 @@ def test_box_scan_asks_the_oracle_about_the_reference_points(I, k, seeded):
     want = reference_scan(bounds, seeds, member, log=want_log)
     got = kernels.box_closure_scan(bounds, seeds, logged(member, got_log))
     assert got == sorted(want)
+    assert got_log == want_log
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_ideal_up_to_5, st.integers(1, 3), st.booleans())
+@example(LP_MID_WALK, 2, False)
+def test_box_scan_stops_at_its_first_find_when_the_oracle_says_so(I, k, seeded):
+    K = small_power(I, k)
+    bounds = generator_box(K.generators)
+    seeds = list(K.generators) if seeded else []
+    want_log, got_log = [], []
+    want = reference_scan(bounds, seeds, _scan_member(I.generators, I.dim, k), log=want_log)
+    stop = _scan_member(I.generators, I.dim, k, stop=True)
+    got = kernels.box_closure_scan(bounds, seeds, logged(stop, got_log))
+    assert got == want[:1]
+    assert got_log == want_log[: len(got_log)]
+    if want:  # the find was the last point it asked about
+        assert got_log[-1] == want[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_ideal_up_to_5, st.integers(1, 3), st.randoms(use_true_random=False))
+def test_box_scan_takes_any_generating_set_as_seeds(I, k, rng):
+    # redundant seeds (multiples of generators, repeats) in any order ask
+    # the oracle about the same points as the minimal generators
+    K = small_power(I, k)
+    bounds = generator_box(K.generators)
+    member = _scan_member(I.generators, I.dim, k)
+    seeds = list(K.generators)
+    for g in K.generators:
+        i = rng.randrange(I.dim)
+        seeds += [g, g[:i] + (g[i] + rng.randint(0, 2),) + g[i + 1:]]
+    rng.shuffle(seeds)
+    want_log, got_log = [], []
+    want = kernels.box_closure_scan(bounds, K.generators, logged(member, want_log))
+    assert kernels.box_closure_scan(bounds, seeds, logged(member, got_log)) == want
     assert got_log == want_log
 
 
@@ -189,3 +239,60 @@ def test_normality_witness_is_lex_least_missing_generator(I):
             return
     assert report.verdict == NORMAL
     assert report.failing_witness is None
+
+
+def minimal_power(I, k):
+    """Minimal generators of I^k from a plain product, without pair sums."""
+    K = I.generators
+    for _ in range(k - 1):
+        sums = [tuple(a + b for a, b in zip(g, h)) for g in K for h in I.generators]
+        K = minimalize(sums, I.dim).generators
+    return K
+
+
+def reference_check_powers(I, base_gens, closed=False):
+    """The direct route on minimal powers: (k, closed?) pairs and witness.
+
+    Scans all of each power's missing generators; the first is the witness.
+    """
+    checked = []
+    for k in range(1, max(I.dim, 2)):
+        if k == 1 and closed:
+            checked.append((1, True))
+            continue
+        K = minimal_power(I, k)
+        member = _scan_member(base_gens, I.dim, k)
+        missing = kernels.box_closure_scan(generator_box(K), K, member)
+        checked.append((k, not missing))
+        if missing:
+            return tuple(checked), missing[0]
+    return tuple(checked), None
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_ideal_up_to_5)
+def test_is_normal_matches_a_scan_of_minimal_powers(I):
+    # non-m-primary ideals too, whose powers' boxes may grow with the
+    # redundant sums that the route scans instead of minimal generators
+    top = max(I.dim - 1, 1)
+    assume(math.prod(top * b + 1 for b in generator_box(I.generators)) <= 5000)
+    report = is_normal(I)
+    want = reference_check_powers(I, I.generators)
+    assert (report.checked_powers, report.failing_witness) == want
+
+
+@st.composite
+def small_alpha(draw):
+    n = draw(st.integers(1, 5))
+    top = (8, 8, 6, 4, 3)[n - 1]
+    return tuple(draw(st.integers(1, top)) for _ in range(n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_alpha())
+def test_pure_power_route_matches_a_scan_of_minimal_powers(alpha):
+    report = pure_power_normality(alpha, use_shortcuts=False)
+    diag = _diag_ideal(alpha)
+    J = MonomialIdeal(len(alpha), tuple(brute_closure(diag)))
+    want = reference_check_powers(J, diag.generators, closed=True)
+    assert (report.checked_powers, report.failing_witness) == want

@@ -138,6 +138,43 @@ def test_pair_sums_antichain_matches_naive(pair):
     assert kernels.pair_sums_antichain(left, right) == naive_minimal(sums)
 
 
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d, max_len=12), vectors_strategy(d, max_len=12))))
+@example(([(0, 2, 1), (1, 0, 0)], [(0, 0, 2), (1, 1, 0)]))
+def test_pair_sums_without_minimalizing_keep_the_swept_least_sums(pair):
+    # the least sum per prefix, less those that another such sum with the
+    # same first n - 2 coordinates divides: minimal within each such group
+    left, right = pair
+    sums = {tuple(a + b for a, b in zip(g, h)) for g in left for h in right}
+    least = {}
+    for v in sorted(sums, reverse=True):
+        least[v[:-1]] = v
+    groups = {}
+    for v in least.values():
+        groups.setdefault(v[:-2], []).append(v)
+    expected = sorted(v for group in groups.values() for v in naive_minimal(group))
+    got = kernels.pair_sums_antichain(left, right, False)
+    assert got == expected
+    assert naive_minimal(got) == naive_minimal(sums)
+    if left and len(left[0]) <= 2:
+        assert got == naive_minimal(sums)
+
+
+@given(st.integers(1, 5).flatmap(lambda d: vectors_strategy(d, max_len=20)), st.booleans())
+@example([(0, 0, 1), (0, 1, 0), (1, 0, 0)], False)
+def test_squares_form_the_same_sums_as_products(vecs, minimal):
+    # a square forms each unordered pair once, a product every ordered pair
+    assert kernels.pair_sums_antichain(vecs, vecs, minimal) == kernels.pair_sums_antichain(
+        vecs, list(reversed(vecs)), minimal
+    )
+
+
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d), vectors_strategy(d))))
+def test_undivided_matches_naive(pair):
+    A, B = pair
+    expected = [b for b in B if not any(all(x <= y for x, y in zip(a, b)) for a in A)]
+    assert kernels._undivided(A, B) == expected
+
+
 @given(vector_family())
 def test_minimal_antichain_is_antichain_and_covers(family):
     _, vecs = family

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from monoclose.errors import DegenerateIdealError
 from monoclose.ideals import MonomialIdeal, contains_monomial
 from monoclose.newton import (
+    _missing_generators,
     closure,
     dependence_witness,
     np_member,
@@ -122,6 +123,14 @@ def test_closure_known_example():
     # (2,4,5) is a multiple of (0,3,3): contained but not minimal
     assert (2, 4, 5) not in C.generators
     assert contains_monomial(C, (2, 4, 5))
+
+
+def test_closure_drops_only_the_generators_a_find_divides():
+    # NP is x + y >= 4: the scan finds (1,3), (2,2), (3,1), and (2,2)
+    # divides the generator (3,3), which leaves; (4,0) and (0,4) stay
+    I = MonomialIdeal(2, ((4, 0), (0, 4), (3, 3)))
+    assert _missing_generators(I.generators, I.generators, 1) == [(1, 3), (2, 2), (3, 1)]
+    assert closure(I).generators == ((0, 4), (1, 3), (2, 2), (3, 1), (4, 0))
 
 
 @given(proper_ideal(max_dim=3, max_coord=7, max_gens=4))

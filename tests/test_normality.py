@@ -125,9 +125,9 @@ def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
     real = normality._missing_generators
     thresholds = []
 
-    def spy(target, base_gens, threshold, max_generators):
+    def spy(seeds, base_gens, threshold, max_generators=None, first=False):
         thresholds.append(threshold)
-        return real(target, base_gens, threshold, max_generators)
+        return real(seeds, base_gens, threshold, max_generators, first)
 
     monkeypatch.setattr(normality, "_missing_generators", spy)
     grid = [(3,), (2, 5), (4, 5, 7), (2, 3, 4, 5)] + list(
