@@ -88,10 +88,6 @@ def format_vector(v) -> str:
     return ",".join(str(c) for c in v)
 
 
-def format_ideal(I: MonomialIdeal) -> str:
-    return ";".join(format_vector(g) for g in I.generators)
-
-
 def _frac(x: Fraction) -> str:
     return str(x)
 
@@ -406,10 +402,20 @@ def _add_ideal_arg(p, required=True):
     )
 
 
+def _generator_budget(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_max_gens(p):
     p.add_argument(
         "--max-gens",
-        type=int,
+        type=_generator_budget,
         default=DEFAULT_MAX_GENS,
         help="abort if an enumeration exceeds this many generators",
     )

@@ -26,8 +26,6 @@ NOT_NORMAL = "not_normal"
 QUASINORMAL_UP_TO_BOUND = "quasinormal_up_to_bound"
 COUNTEREXAMPLE_FOUND = "counterexample_found"
 
-SHORTCUT_NAMES = ("two_exponent", "gcd", "divisibility_chain", "lcm_shift", "none")
-
 # quasinormality_check holds bound + 1 bitmasks of bound * lcm(alpha) + 1
 # bits each; larger scans are refused before anything is allocated.
 QUASINORMAL_MAX_BITS = 2**31
@@ -135,8 +133,9 @@ def _check_powers(I, base_gens, max_generators, closed=False):
     the pair sums that ``pair_sums_antichain(..., minimal=False)`` keeps,
     which generate it but are not always minimal: the scan takes them as
     they are, and they are the next power's operand.  ``max_generators``
-    also bounds the minimal generator count of each power; a power is
-    minimalized only when it has more sums than that.
+    bounds the minimal generator count of each power; a power is
+    minimalized only when it has more sums than that.  The scans return at
+    most their first find, so they take no budget.
     Returns the (k, closed?) pairs and the witness, or None when every power
     checked is closed.
     """
@@ -155,7 +154,7 @@ def _check_powers(I, base_gens, max_generators, closed=False):
         elif closed:
             checked.append((1, True))
             continue
-        missing = _missing_generators(seeds, base_gens, k, max_generators, first=True)
+        missing = _missing_generators(seeds, base_gens, k, first=True)
         checked.append((k, not missing))
         if missing:
             return tuple(checked), missing[0]

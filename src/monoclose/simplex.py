@@ -11,6 +11,14 @@ question asked of it is whether the optimum reaches a given threshold.  The
 slack basis is feasible from the start (no phase one), Bland's smallest-index
 rule rules out cycling, and all arithmetic is on ``Fraction``.
 
+The tableau carries the objective as one more row: the reduced costs of
+every column, then the objective value.  Each pivot eliminates that row
+like the others, so nothing is recomputed per iteration: Bland's entering
+column is the row's first negative entry (basic columns read exactly 0),
+the threshold step reads its rate and the current objective off it, and at
+the optimum its slack block is the dual.  The pivot touches only the
+nonzero entries of the pivot row, which the slack block makes sparse.
+
 Two refinements matter to callers:
 
 * the solver stops the moment the objective crosses the threshold, taking a
@@ -45,49 +53,33 @@ def max_weight_lp(columns, target, threshold=1):
         return "inside", {}
 
     ncols = ngens + n
+    # Rows 0..n-1 are [A | I | target]; row n is the objective row: the
+    # reduced costs, then the objective value.
     tab = []
     for i in range(n):
         row = [Fraction(columns[j][i]) for j in range(ngens)]
         row.extend(_ONE if t == i else _ZERO for t in range(n))
+        row.append(Fraction(target[i]))
         tab.append(row)
-    rhs = [Fraction(c) for c in target]
-    basis = list(range(ngens, ngens + n))
-    in_basis = [False] * ngens + [True] * n
-    obj = _ZERO
+    cost = [-_ONE] * ngens + [_ZERO] * (n + 1)
+    tab.append(cost)
+    basis = list(range(ngens, ncols))
 
     while True:
         # Entering column: smallest index with negative reduced cost (Bland).
-        enter = -1
-        enter_red = _ZERO
-        for j in range(ncols):
-            if in_basis[j]:
-                continue
-            red = _ZERO
-            for i in range(n):
-                if basis[i] < ngens:
-                    red += tab[i][j]
-            if j < ngens:
-                red -= _ONE
-            if red < 0:
-                enter, enter_red = j, red
+        for enter in range(ncols):
+            if cost[enter] < 0:
                 break
-        if enter < 0:
-            # Optimal below threshold; read the dual off the slack columns.
-            sep = []
-            for i in range(n):
-                y = _ZERO
-                for t in range(n):
-                    if basis[t] < ngens:
-                        y += tab[t][ngens + i]
-                sep.append(y)
-            return "outside", tuple(sep), obj
+        else:
+            # Optimal below threshold: the slack block is the dual.
+            return "outside", tuple(cost[ngens:ncols]), cost[ncols]
 
-        direction = [tab[i][enter] for i in range(n)]
         piv_row = -1
         theta_max = None
         for i in range(n):
-            if direction[i] > 0:
-                ratio = rhs[i] / direction[i]
+            d = tab[i][enter]
+            if d > 0:
+                ratio = tab[i][ncols] / d
                 if (
                     theta_max is None
                     or ratio < theta_max
@@ -96,38 +88,30 @@ def max_weight_lp(columns, target, threshold=1):
                     theta_max = ratio
                     piv_row = i
 
-        # The objective climbs at rate -enter_red; if the threshold falls
+        # The objective climbs at rate -cost[enter]; if the threshold falls
         # within this step (always true when the column is unbounded), stop
         # at it exactly instead of pivoting through.
-        theta_need = (thr - obj) / -enter_red
+        theta_need = (thr - cost[ncols]) / -cost[enter]
         if theta_max is None or theta_need <= theta_max:
             weights = {}
             for i in range(n):
                 if basis[i] < ngens:
-                    w = rhs[i] - theta_need * direction[i]
+                    w = tab[i][ncols] - theta_need * tab[i][enter]
                     if w:
                         weights[basis[i]] = w
             if enter < ngens and theta_need:
                 weights[enter] = weights.get(enter, _ZERO) + theta_need
             return "inside", weights
 
-        pd = tab[piv_row][enter]
-        prow = [x / pd for x in tab[piv_row]]
-        tab[piv_row] = prow
-        rhs[piv_row] /= pd
-        prhs = rhs[piv_row]
-        for i in range(n):
-            if i == piv_row:
-                continue
-            f = tab[i][enter]
-            if f:
-                row = tab[i]
-                tab[i] = [a - f * b for a, b in zip(row, prow)]
-                rhs[i] -= f * prhs
-        in_basis[basis[piv_row]] = False
-        in_basis[enter] = True
+        # the slack block leaves most pivot-row entries zero
+        prow = tab[piv_row]
+        nonzero = [j for j, x in enumerate(prow) if x]
+        pd = prow[enter]
+        for j in nonzero:
+            prow[j] /= pd
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if f and i != piv_row:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         basis[piv_row] = enter
-        obj = _ZERO
-        for i in range(n):
-            if basis[i] < ngens:
-                obj += rhs[i]

@@ -236,6 +236,19 @@ def test_usage_errors_exit_two():
     assert invoke("power", "-i", "1,0", "-k", "0").returncode == 2
     # degenerate inputs are input errors, not crashes
     assert invoke("closure", "-i", "0,0").returncode == 2
+    # a generator budget below 1 is refused by every command that takes one
+    family = ("-m", "1", "-n", "1", "-s", "2", "-l", "3")
+    for argv, budget in [
+        (("closure", "-i", "4,0;1,1;0,6"), "-1"),
+        (("is-normal", "--alpha", "4,5,7", "--direct"), "-3"),
+        (("is-normal", "-i", "4,0;1,1;0,6"), "0"),
+        (("two-exp", "gens", *family), "0"),
+        (("two-exp", "verify", *family), "0"),
+    ]:
+        out = invoke(*argv, "--max-gens", budget)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "argument --max-gens: must be at least 1" in out.stderr
 
 
 def test_error_messages_go_to_stderr():

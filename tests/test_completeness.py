@@ -10,7 +10,8 @@ The scan itself is also compared with a plain lexicographic reference that
 records which points reach the oracle: the optimized scan must ask about
 exactly the same points, in the same order, and trip its budget at the same
 found count.  The normality routes, which scan unminimalized pair sums, are
-compared with scans of each power's minimal generators.
+compared with scans of each power's minimal generators, and the sums they
+scan must generate each power exactly.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from monoclose import kernels
+from monoclose import kernels, normality
 from monoclose.errors import GeneratorBudgetError
 from monoclose.ideals import MonomialIdeal, minimalize, power
 from monoclose.newton import _scan_member, closure, np_member
@@ -296,3 +297,40 @@ def test_pure_power_route_matches_a_scan_of_minimal_powers(alpha):
     J = MonomialIdeal(len(alpha), tuple(brute_closure(diag)))
     want = reference_check_powers(J, diag.generators, closed=True)
     assert (report.checked_powers, report.failing_witness) == want
+
+
+def scanned_seeds(route, *args):
+    """Run a normality route; the seeds it scans, by power."""
+    seeds_at = {}
+    real = normality._missing_generators
+
+    def spy(seeds, base_gens, threshold, max_generators=None, first=False):
+        seeds_at[threshold] = list(seeds)
+        return real(seeds, base_gens, threshold, max_generators, first)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normality, "_missing_generators", spy)
+        route(*args)
+    return seeds_at
+
+
+# The scan box comes from the seeds, so seeds that miss a generator of the
+# power (an axis point, say) can shrink the box and hide a missing point
+# without changing any verdict; each power's seeds must generate it exactly.
+@settings(max_examples=50, deadline=None)
+@given(small_alpha())
+def test_pure_power_route_scans_seeds_that_generate_each_power(alpha):
+    J = closure(_diag_ideal(alpha))
+    for k, seeds in scanned_seeds(pure_power_normality, alpha, False).items():
+        want = power(J, k).generators
+        assert tuple(kernels.minimal_antichain(seeds)) == want == minimal_power(J, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_ideal_up_to_5)
+def test_is_normal_scans_seeds_that_generate_each_power(I):
+    top = max(I.dim - 1, 1)
+    assume(math.prod(top * b + 1 for b in generator_box(I.generators)) <= 5000)
+    for k, seeds in scanned_seeds(is_normal, I).items():
+        want = power(I, k).generators
+        assert tuple(kernels.minimal_antichain(seeds)) == want == minimal_power(I, k)

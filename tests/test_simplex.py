@@ -10,10 +10,13 @@ complete proof, so the property tests just re-check the arithmetic.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoclose.simplex import max_weight_lp
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def check_inside(columns, target, threshold, weights):
@@ -124,3 +127,127 @@ def test_scaling_target_by_threshold(case):
     a = max_weight_lp(columns, target, threshold)[0]
     b = max_weight_lp(scaled_cols, target, 1)[0]
     assert a == b
+
+
+# The solver as it was before the tableau carried the objective row, kept
+# verbatim as the reference: it rebuilds the reduced costs and the objective
+# on every iteration and reads the dual off the slack columns at the end.
+def reference_max_weight_lp(columns, target, threshold=1):
+    """Decide whether max{sum(mu) : A mu <= target, mu >= 0} >= threshold.
+
+    Returns ``("inside", weights)`` with ``weights`` a dict {column index:
+    positive Fraction} summing to exactly ``threshold``, or
+    ``("outside", separator, optimum)`` with ``separator`` a tuple of
+    nonnegative Fractions.
+    """
+    n = len(target)
+    ngens = len(columns)
+    thr = Fraction(threshold)
+    if thr <= 0:
+        return "inside", {}
+
+    ncols = ngens + n
+    tab = []
+    for i in range(n):
+        row = [Fraction(columns[j][i]) for j in range(ngens)]
+        row.extend(_ONE if t == i else _ZERO for t in range(n))
+        tab.append(row)
+    rhs = [Fraction(c) for c in target]
+    basis = list(range(ngens, ngens + n))
+    in_basis = [False] * ngens + [True] * n
+    obj = _ZERO
+
+    while True:
+        # Entering column: smallest index with negative reduced cost (Bland).
+        enter = -1
+        enter_red = _ZERO
+        for j in range(ncols):
+            if in_basis[j]:
+                continue
+            red = _ZERO
+            for i in range(n):
+                if basis[i] < ngens:
+                    red += tab[i][j]
+            if j < ngens:
+                red -= _ONE
+            if red < 0:
+                enter, enter_red = j, red
+                break
+        if enter < 0:
+            # Optimal below threshold; read the dual off the slack columns.
+            sep = []
+            for i in range(n):
+                y = _ZERO
+                for t in range(n):
+                    if basis[t] < ngens:
+                        y += tab[t][ngens + i]
+                sep.append(y)
+            return "outside", tuple(sep), obj
+
+        direction = [tab[i][enter] for i in range(n)]
+        piv_row = -1
+        theta_max = None
+        for i in range(n):
+            if direction[i] > 0:
+                ratio = rhs[i] / direction[i]
+                if (
+                    theta_max is None
+                    or ratio < theta_max
+                    or (ratio == theta_max and basis[i] < basis[piv_row])
+                ):
+                    theta_max = ratio
+                    piv_row = i
+
+        # The objective climbs at rate -enter_red; if the threshold falls
+        # within this step (always true when the column is unbounded), stop
+        # at it exactly instead of pivoting through.
+        theta_need = (thr - obj) / -enter_red
+        if theta_max is None or theta_need <= theta_max:
+            weights = {}
+            for i in range(n):
+                if basis[i] < ngens:
+                    w = rhs[i] - theta_need * direction[i]
+                    if w:
+                        weights[basis[i]] = w
+            if enter < ngens and theta_need:
+                weights[enter] = weights.get(enter, _ZERO) + theta_need
+            return "inside", weights
+
+        pd = tab[piv_row][enter]
+        prow = [x / pd for x in tab[piv_row]]
+        tab[piv_row] = prow
+        rhs[piv_row] /= pd
+        prhs = rhs[piv_row]
+        for i in range(n):
+            if i == piv_row:
+                continue
+            f = tab[i][enter]
+            if f:
+                row = tab[i]
+                tab[i] = [a - f * b for a, b in zip(row, prow)]
+                rhs[i] -= f * prhs
+        in_basis[basis[piv_row]] = False
+        in_basis[enter] = True
+        basis[piv_row] = enter
+        obj = _ZERO
+        for i in range(n):
+            if basis[i] < ngens:
+                obj += rhs[i]
+
+
+@settings(max_examples=600)
+@given(lp_case())
+# a ratio-test tie that the basis index breaks, not the row index
+@example(([(0, 2), (2, 1)], (2, 1), 2))
+# the partial step lands exactly on theta_max, after one full pivot
+@example(([(1, 0), (0, 1)], (1, 1), 2))
+# Bland's first negative reduced cost, not the most negative one
+@example(([(1, 2), (0, 1), (3, 0)], (1, 1), 1))
+# an unbounded zero column
+@example(([(0, 0), (5, 5)], (1, 1), 1))
+@example(([(2, 1), (1, 3)], (0, 0), 1))
+@example(([(4, 0, 0), (0, 5, 0), (0, 0, 7)], (4, 5, 0), 2))
+@example(([(4, 0, 0), (0, 5, 0), (0, 0, 7)], (4, 5, 0), 3))
+def test_matches_the_reference_solver(case):
+    # same decision, weights, separator and optimum, Fraction for Fraction
+    assert max_weight_lp(*case) == reference_max_weight_lp(*case)
