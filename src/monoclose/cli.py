@@ -7,10 +7,16 @@ text by default; ``--json`` switches to a versioned report with a fixed key
 order so identical invocations are byte-identical (timing lives in its own
 field, excluded from golden comparisons).
 
-Exit codes: 0 = success or true verdict, 1 = false verdict or failing check,
-2 = usage or input error, 141 = standard output was closed by its reader
-before the output was written (as in ``monoclose closure ... | head -1``);
-141 is 128 + SIGPIPE, what a shell reports for a process that signal ended.
+Exit codes:
+
+* 0: success or true verdict;
+* 1: false verdict or failing check;
+* 2: usage or input error;
+* 70: internal error (sysexits' EX_SOFTWARE), with the traceback on
+  standard error, so that a bug never passes for a false verdict;
+* 141: standard output was closed by its reader before the output was
+  written (as in ``monoclose closure ... | head -1``); 141 is
+  128 + SIGPIPE, what a shell reports for a process that signal ended.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 
@@ -54,6 +61,7 @@ from .two_exponent import (
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_GENS = 10**5
+EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE in sysexits.h
 EXIT_BROKEN_PIPE = 128 + 13  # 13 = SIGPIPE
 
 
@@ -536,7 +544,8 @@ def run_command(argv=None):
     """Parse and execute an invocation; returns (exit code, report or None).
 
     Nothing is printed on success paths; ``main`` does the rendering.  Usage
-    errors print through argparse and return code 2.
+    errors print through argparse and return code 2; any other exception is
+    a bug, printed with its traceback, and returns code 70.
     """
     try:
         args = _shared_parser().parse_args(argv)
@@ -560,6 +569,9 @@ def run_command(argv=None):
     except (ValueError, GeneratorBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR, None
     return code, run
 
 

@@ -103,20 +103,22 @@ def contains_monomial(I: MonomialIdeal, v) -> bool:
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Ideal product: minimal antichain of all pairwise generator sums."""
     _same_dim(I, J.dim, "product")
-    if I.is_zero or J.is_zero:
-        return MonomialIdeal._from_antichain(I.dim, ())
     gens = kernels.pair_sums_antichain(I.generators, J.generators)
-    return MonomialIdeal._from_antichain(I.dim, gens)
+    return MonomialIdeal._from_antichain(I.dim, kernels.minimal_antichain(gens))
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th ideal power by iterated product, minimalizing at every step."""
+    """k-th ideal power: pair sums chained k - 1 times, minimalized once.
+
+    Each step's sums generate that power but need not be minimal from 3-D
+    up; the next step takes them as they are.
+    """
     if k < 1:
         raise ValueError(f"power requires k >= 1, got {k}")
-    result = I
+    gens = I.generators
     for _ in range(k - 1):
-        result = product(result, I)
-    return result
+        gens = kernels.pair_sums_antichain(gens, I.generators)
+    return MonomialIdeal._from_antichain(I.dim, kernels.minimal_antichain(gens))
 
 
 def colon_by_monomial(I: MonomialIdeal, f) -> MonomialIdeal:

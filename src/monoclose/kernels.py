@@ -38,11 +38,11 @@ The pairwise sums are int additions; of the sums sharing all but the last
 coordinate (the prefix ``s >> w``) only the least can be minimal, so one
 is kept per prefix.  A square forms each unordered pair once.  The
 survivors are swept as keys over their last two coordinates, anew for each
-run of keys that share the coordinates before those: in 1-D and 2-D that
-leaves exactly the minimal sums, and in 3-D and up it drops most of the
-others before the keys are decoded to tuples for the minimal-elements
-pass.  A caller that only scans or multiplies the result can skip that
-pass, since the swept sums already generate the product.
+run of keys that share the coordinates before those, and decoded to
+tuples.  They generate the product: in 1-D and 2-D they are exactly its
+minimal generators, and in 3-D and up most of the other sums are gone.
+A scan or a further product takes them as they are; a caller that needs
+the minimal generators passes them through ``minimal_antichain``.
 
 The box scan accepts any generating set as seeds, minimal or not, and
 stops at its first find when the oracle asks it to.  Each separator it
@@ -53,7 +53,7 @@ prefix, which the walk updates as each prefix coordinate changes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import prod
 from operator import and_, itemgetter, le, mul
 
@@ -78,12 +78,6 @@ def minimal_antichain(vectors):
 
     Duplicates are dropped.
     """
-    return _minimal_antichain(vectors)
-
-
-# Kernels here call each other only through private names, so a wrapper
-# installed on a public name (as a tracer does) sees only outside callers.
-def _minimal_antichain(vectors):
     points = sorted(set(vectors))
     if len(points) < 2:
         return points
@@ -149,7 +143,7 @@ def _undominated(A, B, c):
         return _undominated_3d(A, B, c)
     # split on coordinate c: an a below the pivot can dominate a b above
     # it only through the later coordinates, one above never one below
-    firsts = sorted(v[c] for v in A + B)
+    firsts = sorted(v[c] for v in chain(A, B))  # either may be a tuple
     pivot = firsts[len(firsts) // 2]
     if pivot == firsts[0] == firsts[-1]:
         return _undominated(A, B, c + 1)
@@ -245,13 +239,12 @@ def _undominated_3d(A, B, c, online=False):
     return keep
 
 
-def pair_sums_antichain(left, right, minimal=True):
-    """Minimal antichain of all pairwise sums ``a + b``, lex-sorted.
+def pair_sums_antichain(left, right):
+    """Pairwise sums ``a + b`` that generate the product, lex-sorted.
 
-    The sums are taken on packed keys (see the module docstring).  With
-    ``minimal`` false the 3-D-and-up minimal-elements pass is skipped: the
-    result is then the swept least sums per prefix, lex-sorted, which
-    generate the product but may hold sums that are not minimal.
+    The least sum per prefix, swept over the last two coordinates on packed
+    keys (see the module docstring): exactly the minimal sums in 1-D and
+    2-D, possibly a few more from 3-D up.
     """
     if not left or not right:
         return []
@@ -282,9 +275,7 @@ def pair_sums_antichain(left, right, minimal=True):
             low = s & mask
             kept.append(s)
     shifts = range(w * (dim - 1), -1, -w)
-    points = [tuple([s >> i & mask for i in shifts]) for s in kept]
-    # in 1-D and 2-D the sweep has left exactly the minimal sums
-    return _minimal_antichain(points) if minimal and dim > 2 else points
+    return [tuple([s >> i & mask for i in shifts]) for s in kept]
 
 
 def _pack(vectors, w):

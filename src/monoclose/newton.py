@@ -67,6 +67,12 @@ def _require_proper(I: MonomialIdeal, op: str):
         raise DegenerateIdealError(f"{op} is undefined for the zero or unit ideal")
 
 
+def _require_budget(max_generators):
+    # one meaning for every entry point: None, or a cap of at least 1
+    if max_generators is not None and max_generators < 1:
+        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
+
+
 def _halfspace_profile(gens, dim):
     """Integer form of NP(gens) when it is a single corner halfspace.
 
@@ -194,6 +200,7 @@ def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdea
     keeps every find and the generators of I that no find divides.
     """
     _require_proper(I, "integral closure")
+    _require_budget(max_generators)
     found = _missing_generators(I.generators, I.generators, 1, max_generators)
     gens = sorted(kernels._undivided(found, I.generators) + found)
     return MonomialIdeal._from_antichain(I.dim, gens)

@@ -18,7 +18,13 @@ from math import gcd, lcm
 from . import kernels
 from .errors import GeneratorBudgetError
 from .ideals import MonomialIdeal, colon_by_maximal, contains_monomial, is_m_primary
-from .newton import _missing_generators, _require_proper, closure, np_member
+from .newton import (
+    _missing_generators,
+    _require_budget,
+    _require_proper,
+    closure,
+    np_member,
+)
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
@@ -113,6 +119,7 @@ def _powers_to_check(n: int):
 def is_normal(I: MonomialIdeal, max_generators: int | None = None) -> NormalityReport:
     """Direct normality decision: the first n-1 powers must be closed."""
     _require_proper(I, "normality")
+    _require_budget(max_generators)
     checked, witness = _check_powers(I, I.generators, max_generators)
     return NormalityReport(
         subject=I,
@@ -130,12 +137,12 @@ def _check_powers(I, base_gens, max_generators, closed=False):
     has no lattice point it misses; the scan runs in lex order and stops at
     its first find, the lex-least witness.  ``closed``: I is known to be
     integrally closed, so k = 1 needs no scan.  Each power is carried as
-    the pair sums that ``pair_sums_antichain(..., minimal=False)`` keeps,
-    which generate it but are not always minimal: the scan takes them as
-    they are, and they are the next power's operand.  ``max_generators``
-    bounds the minimal generator count of each power; a power is
-    minimalized only when it has more sums than that.  The scans return at
-    most their first find, so they take no budget.
+    the pair sums of the previous one with I, as in ``ideals.power``: they
+    generate it without always being minimal, the scan takes them as they
+    are, and they are the next power's operand.  ``max_generators`` bounds
+    the minimal generator count of each power; a power is minimalized only
+    when it has more sums than that.  The scans return at most their first
+    find, so they take no budget.
     Returns the (k, closed?) pairs and the witness, or None when every power
     checked is closed.
     """
@@ -143,7 +150,7 @@ def _check_powers(I, base_gens, max_generators, closed=False):
     seeds = I.generators
     for k in _powers_to_check(I.dim):
         if k > 1:
-            seeds = kernels.pair_sums_antichain(seeds, I.generators, False)
+            seeds = kernels.pair_sums_antichain(seeds, I.generators)
             if max_generators is not None and len(seeds) > max_generators:
                 seeds = kernels.minimal_antichain(seeds)
                 if len(seeds) > max_generators:
@@ -226,6 +233,7 @@ def pure_power_normality(
     alpha = tuple(alpha)
     if not alpha or any(a < 1 for a in alpha):
         raise ValueError("pure-power exponents must all be >= 1")
+    _require_budget(max_generators)
     fired: list[str] = []
     work = alpha
     settled = None

@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import GeneratorBudgetError
 from .ideals import MonomialIdeal, minimalize, power
-from .newton import closure, pure_power_member
+from .newton import _require_budget, closure, pure_power_member
 from .normality import _diag_ideal, is_normal
 
 DEFAULT_F_BUDGET = 10**6
@@ -170,9 +170,9 @@ def generators_F(spec: TwoExponentSpec, budget: int = DEFAULT_F_BUDGET) -> list:
     return out
 
 
-def ideal_J(spec: TwoExponentSpec, budget: int = DEFAULT_F_BUDGET) -> MonomialIdeal:
+def ideal_J(spec: TwoExponentSpec) -> MonomialIdeal:
     """The ideal generated by F_k (whose generators it already minimally lists)."""
-    return minimalize(generators_F(spec, budget), spec.dim)
+    return minimalize(generators_F(spec), spec.dim)
 
 
 def ideal_I(spec: TwoExponentSpec) -> MonomialIdeal:
@@ -208,9 +208,7 @@ def _first_difference(gens, expected):
 
 
 def verify_all(
-    spec: TwoExponentSpec,
-    budget: int = DEFAULT_F_BUDGET,
-    max_generators: int | None = None,
+    spec: TwoExponentSpec, max_generators: int | None = None
 ) -> TwoExponentReport:
     """Machine-check the family's five identities on one concrete spec.
 
@@ -219,10 +217,14 @@ def verify_all(
     3. J_k equals the integral closure of I_k;
     4. every socle-formula vector lies outside the polyhedron of I_k;
     5. J_1 is normal.
+
+    ``max_generators`` bounds F_k's enumeration (``DEFAULT_F_BUDGET`` when
+    None), the closure and the normality check's powers.
     """
+    _require_budget(max_generators)
     alpha = spec.alpha_vector()
-    J = ideal_J(spec, budget)
-    J1 = J if spec.k == 1 else ideal_J(replace(spec, k=1), budget)
+    J = minimalize(generators_F(spec, max_generators or DEFAULT_F_BUDGET), spec.dim)
+    J1 = J if spec.k == 1 else ideal_J(replace(spec, k=1))
     closed = closure(ideal_I(spec), max_generators)
     socle = socle_generators(spec)
     table = (

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from monoclose import kernels, normality
+from monoclose import cli, kernels, normality
 from monoclose.cli import build_parser, main, parse_ideal, parse_vector, run_command
 from monoclose.ideals import MonomialIdeal
 from monoclose.newton import closure
@@ -192,8 +192,9 @@ def test_max_gens_counts_the_minimal_generators_of_a_power(capsys):
     # J^2 of (3,4,4,5) has 141 minimal generators among the 143 sums that
     # the direct route keeps unminimalized: a budget of 142 passes, 140 does not
     J = closure(normality._diag_ideal((3, 4, 4, 5))).generators
-    assert len(kernels.pair_sums_antichain(J, J, False)) == 143
-    assert len(kernels.pair_sums_antichain(J, J)) == 141
+    sums = kernels.pair_sums_antichain(J, J)
+    assert len(sums) == 143
+    assert len(kernels.minimal_antichain(sums)) == 141
     argv = ["is-normal", "--alpha", "3,4,4,5", "--direct"]
     assert main(argv) == 1
     unbounded = capsys.readouterr().out
@@ -209,6 +210,20 @@ def test_two_exp_verify():
     out = invoke("two-exp", "verify", "-m", "1", "-n", "1", "-s", "2", "-l", "7", "-k", "3")
     assert out.returncode == 0
     assert "all checks passed" in out.stdout
+
+
+def test_two_exp_max_gens_bounds_the_same_count_in_gens_and_verify(capsys):
+    # F_3 of (s, l) = (2, 7) has 7 vectors: 7 passes, 6 does not
+    family = ["-m", "1", "-n", "1", "-s", "2", "-l", "7", "-k", "3"]
+    for sub in ("gens", "verify"):
+        assert main(["two-exp", sub, *family, "--max-gens", "7"]) == 0
+        capsys.readouterr()
+        assert main(["two-exp", sub, *family, "--max-gens", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: spec would enumerate 7 generators, over the budget 6\n"
+        )
 
 
 def test_two_exp_block_swap():
@@ -249,6 +264,31 @@ def test_usage_errors_exit_two():
         assert out.returncode == 2
         assert out.stdout == ""
         assert "argument --max-gens: must be at least 1" in out.stderr
+
+
+def test_closure_above_the_bitset_cap_in_four_variables():
+    # 2141 generators: more than the 2048 points a side the bitsets take,
+    # so the generators of I that no find divides go through the split
+    out = invoke("closure", "-i", "20,0,0,0;0,21,0,0;0,0,22,0;0,0,0,23")
+    assert out.returncode == 0
+    assert out.stderr == ""
+    lines = out.stdout.splitlines()
+    assert lines[0] == "2141 minimal generators"
+    assert len(lines) == 2142
+
+
+def test_internal_errors_exit_70_with_a_traceback(monkeypatch, capsys):
+    # a bug must not exit 1, which reads as a false verdict
+    def broken(I, max_generators=None):
+        raise TypeError("broken closure")
+
+    monkeypatch.setattr(cli, "closure", broken)
+    assert run_command(["closure", "-i", IDEAL_457]) == (70, None)
+    assert main(["closure", "-i", IDEAL_457]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("TypeError: broken closure\n")
 
 
 def test_error_messages_go_to_stderr():

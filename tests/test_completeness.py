@@ -125,6 +125,21 @@ def test_closure_routes_match_brute_force(I, k):
     assert list(closure(K).generators) == expected
 
 
+def test_closure_above_the_bitset_cap_matches_brute_force(monkeypatch):
+    # 132 finds above a 32-point cap: the generators of I that no find
+    # divides are picked by the coordinate split, from I's generator tuple
+    monkeypatch.setattr(kernels, "_BITSET_POINTS", 32)
+    I = _diag_ideal((6, 7, 8, 9))
+    inside = {v for v in box(generator_box(I.generators)) if np_member(I, v).is_inside}
+    # the region is up-closed, so v is minimal when no v - e_i is inside
+    expected = sorted(
+        v for v in inside
+        if not any(v[i] and v[:i] + (v[i] - 1,) + v[i + 1:] in inside for i in range(4))
+    )
+    assert len(expected) == 132
+    assert list(closure(I).generators) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_ideal_up_to_5, st.integers(1, 3))
 def test_box_scan_matches_brute_force_with_and_without_seeds(I, k):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoclose import kernels
 from monoclose.errors import DimensionMismatchError
 from monoclose.ideals import (
     MonomialIdeal,
@@ -16,6 +17,7 @@ from monoclose.ideals import (
     power,
     product,
 )
+from monoclose.newton import closure
 
 
 @st.composite
@@ -116,6 +118,27 @@ def test_product_zero_absorbs():
 def test_power_splits_as_product(pair, a, b):
     I, _ = pair
     assert power(I, a + b) == product(power(I, a), power(I, b))
+
+
+def test_power_minimalizes_once(monkeypatch):
+    # k - 1 pair sums on unminimalized operands, then one minimal-elements
+    # pass: J^2 of closure(3,4,4,5) has 143 sums and 141 minimal generators
+    calls = []
+    for name in ("pair_sums_antichain", "minimal_antichain"):
+        def spy(*args, _real=getattr(kernels, name), _name=name):
+            out = _real(*args)
+            calls.append((_name, len(out)))
+            return out
+
+        monkeypatch.setattr(kernels, name, spy)
+    I = MonomialIdeal(4, ((3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 5)))
+    J = closure(I)
+    calls.clear()
+    assert len(power(J, 2).generators) == 141
+    assert calls == [("pair_sums_antichain", 143), ("minimal_antichain", 141)]
+    calls.clear()
+    power(J, 4)
+    assert [name for name, _ in calls] == ["pair_sums_antichain"] * 3 + ["minimal_antichain"]
 
 
 def test_power_requires_positive_exponent():

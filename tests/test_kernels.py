@@ -135,7 +135,8 @@ def test_below_matches_brute_force(case):
 def test_pair_sums_antichain_matches_naive(pair):
     left, right = pair
     sums = [tuple(a + b for a, b in zip(g, h)) for g in left for h in right]
-    assert kernels.pair_sums_antichain(left, right) == naive_minimal(sums)
+    got = kernels.pair_sums_antichain(left, right)
+    assert kernels.minimal_antichain(got) == naive_minimal(sums)
 
 
 @given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d, max_len=12), vectors_strategy(d, max_len=12))))
@@ -152,27 +153,42 @@ def test_pair_sums_without_minimalizing_keep_the_swept_least_sums(pair):
     for v in least.values():
         groups.setdefault(v[:-2], []).append(v)
     expected = sorted(v for group in groups.values() for v in naive_minimal(group))
-    got = kernels.pair_sums_antichain(left, right, False)
+    got = kernels.pair_sums_antichain(left, right)
     assert got == expected
-    assert naive_minimal(got) == naive_minimal(sums)
+    assert kernels.minimal_antichain(got) == naive_minimal(sums)
     if left and len(left[0]) <= 2:
         assert got == naive_minimal(sums)
 
 
-@given(st.integers(1, 5).flatmap(lambda d: vectors_strategy(d, max_len=20)), st.booleans())
-@example([(0, 0, 1), (0, 1, 0), (1, 0, 0)], False)
-def test_squares_form_the_same_sums_as_products(vecs, minimal):
+@given(st.integers(1, 5).flatmap(lambda d: vectors_strategy(d, max_len=20)))
+@example([(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+def test_squares_form_the_same_sums_as_products(vecs):
     # a square forms each unordered pair once, a product every ordered pair
-    assert kernels.pair_sums_antichain(vecs, vecs, minimal) == kernels.pair_sums_antichain(
-        vecs, list(reversed(vecs)), minimal
+    assert kernels.pair_sums_antichain(vecs, vecs) == kernels.pair_sums_antichain(
+        vecs, list(reversed(vecs))
     )
 
 
 @given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d), vectors_strategy(d))))
 def test_undivided_matches_naive(pair):
     A, B = pair
-    expected = [b for b in B if not any(all(x <= y for x, y in zip(a, b)) for a in A)]
-    assert kernels._undivided(A, B) == expected
+    assert kernels._undivided(A, B) == naive_undivided(A, B)
+
+
+def naive_undivided(A, B):
+    return [b for b in B if not any(all(x <= y for x, y in zip(a, b)) for a in A)]
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_undivided_splits_a_tuple_above_the_bitset_cap(dim, monkeypatch):
+    # closure passes an ideal's generator tuple as B; above the cap the
+    # coordinate split must take it as it takes a list
+    monkeypatch.setattr(kernels, "_BITSET_POINTS", 32)
+    rng = random.Random(dim)
+    for top in (6, 40):
+        A = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(120)]
+        B = tuple(tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(150))
+        assert kernels._undivided(A, B) == naive_undivided(A, B)
 
 
 @given(vector_family())
@@ -201,12 +217,15 @@ def test_minimal_antichain_order_insensitive(family):
 
 def test_pair_sums_leaves_the_public_antichain_name_alone(monkeypatch):
     # a wrapper on a public kernel, such as the benchmark's tracer, must see
-    # only calls from outside the module
+    # only calls from outside the module: pair sums minimalize nothing
     def wrapped(vectors):
         raise AssertionError("pair sums called the public minimal_antichain")
 
     monkeypatch.setattr(kernels, "minimal_antichain", wrapped)
     assert kernels.pair_sums_antichain([(1, 0), (0, 1)], [(1, 0)]) == [(1, 1), (2, 0)]
+    # in 3-D the sum (2, 1, 1), a multiple of (1, 0, 0), stays
+    got = kernels.pair_sums_antichain([(0, 0, 0), (1, 1, 1)], [(1, 0, 0)])
+    assert got == [(1, 0, 0), (2, 1, 1)]
 
 
 def halfspace_member(nums, den):

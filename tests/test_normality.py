@@ -99,6 +99,27 @@ def test_is_normal_stops_at_first_failure():
     assert report.checked_powers == ((1, False),)
 
 
+def test_library_budgets_below_one_are_refused():
+    # the same rule whatever the ideal: a closed one (J), one whose scan
+    # finds generators (I), a two-variable ideal and a settled shortcut
+    I = MonomialIdeal(3, ((4, 0, 0), (0, 5, 0), (0, 0, 7)))
+    J = closure(I)
+    calls = [
+        lambda b: closure(J, b),
+        lambda b: closure(I, b),
+        lambda b: is_normal(J, b),
+        lambda b: is_normal(MonomialIdeal(2, ((4, 0), (0, 6))), b),
+        lambda b: pure_power_normality((4, 5, 7), max_generators=b),
+        lambda b: pure_power_normality((2, 3), max_generators=b),
+    ]
+    for call in calls:
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="max_generators must be at least 1"):
+                call(budget)
+        call(None)
+        call(1000)
+
+
 def test_one_variable_is_always_normal():
     report = is_normal(MonomialIdeal(1, ((6,),)))
     assert report.verdict == NORMAL

@@ -177,6 +177,16 @@ def test_budget_guard():
         generators_F(spec, budget=1000)
 
 
+def test_verify_all_enumerates_f_under_max_generators():
+    # F_3 of the figure has 7 vectors
+    assert verify_all(figure_spec(), max_generators=7).all_passed
+    with pytest.raises(GeneratorBudgetError, match="enumerate 7 generators"):
+        verify_all(figure_spec(), max_generators=6)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="max_generators must be at least 1"):
+            verify_all(figure_spec(), max_generators=budget)
+
+
 def test_degenerate_s_equals_l():
     # s == l collapses to a single exponent; everything still holds
     report = verify_all(TwoExponentSpec(1, 2, 3, 3, 2))
