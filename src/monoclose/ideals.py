@@ -111,14 +111,18 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th ideal power: pair sums chained k - 1 times, minimalized once.
 
     Each step's sums generate that power but need not be minimal from 3-D
-    up; the next step takes them as they are.
+    up; the next step takes them as they are, and only the last ones are
+    minimalized.  In 1-D and 2-D the sums are already the minimal
+    generators, so they are returned as they are.
     """
     if k < 1:
         raise ValueError(f"power requires k >= 1, got {k}")
     gens = I.generators
     for _ in range(k - 1):
         gens = kernels.pair_sums_antichain(gens, I.generators)
-    return MonomialIdeal._from_antichain(I.dim, kernels.minimal_antichain(gens))
+    if I.dim > 2:
+        gens = kernels.minimal_antichain(gens)
+    return MonomialIdeal._from_antichain(I.dim, gens)
 
 
 def colon_by_monomial(I: MonomialIdeal, f) -> MonomialIdeal:

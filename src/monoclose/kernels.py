@@ -11,23 +11,22 @@ dominator of a point before it, so only earlier points need asking.  The
 work per dimension, for m distinct vectors:
 
 * 1-D and 2-D: a sweep with a running minimum, O(m log m);
-* 3-D: a prefix-minimum Fenwick tree over the second coordinate,
-  O(m log m);
-* 4-D and up, up to ``_BITSET_POINTS`` (2048): bitsets.  Per coordinate,
+* 3-D and up, below a few dozen points: each point is simply checked
+  against the minimal points kept before it; on a handful of points that
+  is about three times cheaper than building bitsets;
+* 3-D and up, up to ``_BITSET_POINTS`` (2048): bitsets.  Per coordinate,
   the indices of the points are ORed into one int per value and prefix-ORed
   over the sorted values; a point's lookup at its own value, ANDed over the
   coordinates, is the set of points at or below it.  That is d * m ORs and
   ANDs of m-bit ints, about d * m^2 / 30 steps over CPython's 30-bit
-  digits; each list of such ints holds at most 2048^2 bits (512 KB).
-* 4-D and up, more points: divide and conquer on the sorted list; the upper
+  digits; each list of such ints holds at most 2048^2 bits (512 KB);
+* 3-D and up, more points: divide and conquer on the sorted list; the upper
   half is filtered against the lower half's minima in one dimension less,
-  which again splits on a coordinate until three remain (Kung, Luccio and
-  Preparata, J. ACM 22(4), 1975), O(m log^(d-2) m).  The halves, and the
-  filtering once both of its sides are within the cap, go to bitsets.
-
-Below a few dozen points, 3-D and up, each point is simply checked against
-the minimal points kept before it: on a handful of points that is about
-three times cheaper than building bitsets.
+  which again splits on a coordinate until two remain and ends in the
+  running-minimum sweep (Kung, Luccio and Preparata, J. ACM 22(4), 1975),
+  O(m log^(d-1) m).  The halves, and the filtering once both of its sides
+  are within the cap, go to bitsets, so only inputs with more than 2048
+  points a side pay the logs.
 
 Ideal products go through ``pair_sums_antichain``, which packs each vector
 into one int: coordinate 0 in the most significant field, every field w
@@ -62,7 +61,7 @@ from .errors import GeneratorBudgetError
 # Below these sizes plain double loops are cheaper than a sweep structure.
 _NAIVE_POINTS = 24
 _NAIVE_PAIRS = 256
-# Up to this many points a side, 4-D and up, dominance is read off bitsets.
+# Up to this many points a side, 3-D and up, dominance is read off bitsets.
 _BITSET_POINTS = 2048
 # Most height cells a box scan may allocate (a list of 8-byte slots, 32 MB).
 SCAN_MAX_CELLS = 2**22
@@ -92,19 +91,15 @@ def minimal_antichain(vectors):
                 out.append(v)
                 low = v[1]
         return out
-    if dim == 3 and len(points) > _NAIVE_POINTS:
-        keep = _undominated_3d(points, points, 0, online=True)
-        return [v for v, ok in zip(points, keep) if ok]
     return _minima(points)
 
 
 def _minima(points):
     """Minimal elements of lex-sorted distinct ``points``, 3-D and up.
 
-    A few points are checked directly; more (only 4-D and up get here with
-    more) go through one bitset pass (``_below``) up to ``_BITSET_POINTS``,
-    at most 2048^2 bits (512 KB) per list of masks, and are split into
-    halves above that.
+    A few points are checked directly; more go through one bitset pass
+    (``_below``) up to ``_BITSET_POINTS``, at most 2048^2 bits (512 KB) per
+    list of masks, and are split into halves above that.
     """
     if len(points) <= _NAIVE_POINTS:
         out = []
@@ -130,7 +125,9 @@ def _undominated(A, B, c):
     """For each b in B: True when no a in A satisfies a <= b componentwise.
 
     Every pair already satisfies ``a[:c] <= b[:c]``, so only coordinates
-    from ``c`` on decide; at least three of them remain.
+    from ``c`` on decide; at least two of them remain.  Past the naive and
+    bitset sizes, three or more are split on coordinate ``c`` and the last
+    two are swept with a running minimum.
     """
     if not A or not B:
         return [True] * len(B)
@@ -138,9 +135,17 @@ def _undominated(A, B, c):
         return [not any(all(map(le, a, b)) for a in A) for b in B]
     if len(A) <= _BITSET_POINTS and len(B) <= _BITSET_POINTS:
         return [not m for m in _below(A, B, c)]
-    k = len(B[0]) - c
-    if k == 3:
-        return _undominated_3d(A, B, c)
+    if len(B[0]) - c == 2:
+        # A sorted on coordinate c; least[r]: the least coordinate c + 1
+        # among its r + 1 first points
+        A = sorted(A, key=itemgetter(c))
+        firsts = [a[c] for a in A]
+        least = list(accumulate((a[c + 1] for a in A), min))
+        keep = []
+        for b in B:
+            r = bisect_right(firsts, b[c])
+            keep.append(not r or least[r - 1] > b[c + 1])
+        return keep
     # split on coordinate c: an a below the pivot can dominate a b above
     # it only through the later coordinates, one above never one below
     firsts = sorted(v[c] for v in chain(A, B))  # either may be a tuple
@@ -187,56 +192,6 @@ def _below(A, B, c):
         col = [upto[bisect_right(values, b[i])] for b in B]
         masks = col if masks is None else list(map(and_, masks, col))
     return masks
-
-
-def _undominated_3d(A, B, c, online=False):
-    """``_undominated`` on coordinates c, c+1, c+2, by a Fenwick tree.
-
-    Sweeps coordinate c, A before B on ties; the tree maps a rank of
-    coordinate c+1 to the least coordinate c+2 seen at or below it.
-    ``online``: A and B are the same lex-sorted list (c = 0) and a point is
-    only compared with the kept points before it; each point's dominators
-    all come earlier, and dominance is transitive.
-    """
-    ys = sorted({a[c + 1] for a in A})
-    size = len(ys)
-    tree = [None] * (size + 1)
-
-    def insert(a):
-        i = bisect_right(ys, a[c + 1])
-        z = a[c + 2]
-        while i <= size:
-            if tree[i] is None or z < tree[i]:
-                tree[i] = z
-            i += i & -i
-
-    def dominated(b):
-        i = bisect_right(ys, b[c + 1])
-        z = b[c + 2]
-        while i:
-            if tree[i] is not None and tree[i] <= z:
-                return True
-            i -= i & -i
-        return False
-
-    keep = [True] * len(B)
-    if online:
-        for j, b in enumerate(B):
-            if dominated(b):
-                keep[j] = False
-            else:
-                insert(b)
-        return keep
-    x = itemgetter(c)
-    A = sorted(A, key=x)
-    i = 0
-    for j in sorted(range(len(B)), key=lambda j: x(B[j])):
-        b = B[j]
-        while i < len(A) and x(A[i]) <= x(b):
-            insert(A[i])
-            i += 1
-        keep[j] = not dominated(b)
-    return keep
 
 
 def pair_sums_antichain(left, right):
@@ -300,28 +255,6 @@ def dominates_any(gens, v):
         if ok:
             return True
     return False
-
-
-def _undivided(A, B):
-    """The b in B, in order, that no a in A divides (a <= b componentwise).
-
-    1-D and 2-D: a running minimum of the last coordinate over A's first
-    coordinates; 3-D and up: the tiers of ``_undominated``.
-    """
-    if not A or not B:
-        return list(B)
-    if len(B[0]) >= 3:
-        return [b for b, ok in zip(B, _undominated(A, B, 0)) if ok]
-    A = sorted(A)
-    firsts = [a[0] for a in A]
-    # lows[r]: the least last coordinate among the r + 1 lex-least a
-    lows = list(accumulate((a[-1] for a in A), min))
-    out = []
-    for b in B:
-        r = bisect_right(firsts, b[0])
-        if not r or lows[r - 1] > b[-1]:
-            out.append(b)
-    return out
 
 
 class _Stop(Exception):

@@ -202,7 +202,8 @@ def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdea
     _require_proper(I, "integral closure")
     _require_budget(max_generators)
     found = _missing_generators(I.generators, I.generators, 1, max_generators)
-    gens = sorted(kernels._undivided(found, I.generators) + found)
+    keep = kernels._undominated(found, I.generators, 0)
+    gens = sorted([g for g, ok in zip(I.generators, keep) if ok] + found)
     return MonomialIdeal._from_antichain(I.dim, gens)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GeneratorBudgetError
-from .ideals import MonomialIdeal, minimalize, power
+from .ideals import MonomialIdeal, power
 from .newton import _require_budget, closure, pure_power_member
 from .normality import _diag_ideal, is_normal
 
@@ -171,8 +171,8 @@ def generators_F(spec: TwoExponentSpec, budget: int = DEFAULT_F_BUDGET) -> list:
 
 
 def ideal_J(spec: TwoExponentSpec) -> MonomialIdeal:
-    """The ideal generated by F_k (whose generators it already minimally lists)."""
-    return minimalize(generators_F(spec), spec.dim)
+    """The ideal generated by F_k, which is its own lex-sorted minimal antichain."""
+    return MonomialIdeal._from_antichain(spec.dim, generators_F(spec))
 
 
 def ideal_I(spec: TwoExponentSpec) -> MonomialIdeal:
@@ -223,7 +223,8 @@ def verify_all(
     """
     _require_budget(max_generators)
     alpha = spec.alpha_vector()
-    J = minimalize(generators_F(spec, max_generators or DEFAULT_F_BUDGET), spec.dim)
+    F = generators_F(spec, max_generators or DEFAULT_F_BUDGET)
+    J = MonomialIdeal._from_antichain(spec.dim, F)
     J1 = J if spec.k == 1 else ideal_J(replace(spec, k=1))
     closed = closure(ideal_I(spec), max_generators)
     socle = socle_generators(spec)

@@ -125,18 +125,47 @@ def test_closure_routes_match_brute_force(I, k):
     assert list(closure(K).generators) == expected
 
 
+def minimal_inside(I):
+    """Minimal lattice points of NP(I) in its generator box, by enumeration."""
+    inside = {v for v in box(generator_box(I.generators)) if np_member(I, v).is_inside}
+    # the region is up-closed, so v is minimal when no v - e_i is inside
+    return sorted(
+        v for v in inside
+        if not any(
+            v[i] and v[:i] + (v[i] - 1,) + v[i + 1:] in inside for i in range(I.dim)
+        )
+    )
+
+
 def test_closure_above_the_bitset_cap_matches_brute_force(monkeypatch):
     # 132 finds above a 32-point cap: the generators of I that no find
     # divides are picked by the coordinate split, from I's generator tuple
     monkeypatch.setattr(kernels, "_BITSET_POINTS", 32)
     I = _diag_ideal((6, 7, 8, 9))
-    inside = {v for v in box(generator_box(I.generators)) if np_member(I, v).is_inside}
-    # the region is up-closed, so v is minimal when no v - e_i is inside
-    expected = sorted(
-        v for v in inside
-        if not any(v[i] and v[:i] + (v[i] - 1,) + v[i + 1:] in inside for i in range(4))
-    )
+    expected = minimal_inside(I)
     assert len(expected) == 132
+    assert list(closure(I).generators) == expected
+
+
+@pytest.mark.parametrize(
+    "I, count",
+    [
+        # 100 finds against 3 generators: the split on the first coordinate
+        # leaves sides small enough for the double loop
+        pytest.param(_diag_ideal((12, 13, 14)), 103, id="diag"),
+        # 105 finds against 10 generators: one side of the split still
+        # passes both limits, and it ends in the two-coordinate sweep
+        pytest.param(power(_diag_ideal((4, 5, 6)), 3), 115, id="cube"),
+    ],
+)
+def test_closure_above_the_bitset_cap_in_three_variables_matches_brute_force(
+    I, count, monkeypatch
+):
+    # at a 32-point cap the generators of I that no find divides are picked
+    # by the 3-D coordinate split
+    monkeypatch.setattr(kernels, "_BITSET_POINTS", 32)
+    expected = minimal_inside(I)
+    assert len(expected) == count
     assert list(closure(I).generators) == expected
 
 

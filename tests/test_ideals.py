@@ -139,6 +139,12 @@ def test_power_minimalizes_once(monkeypatch):
     calls.clear()
     power(J, 4)
     assert [name for name, _ in calls] == ["pair_sums_antichain"] * 3 + ["minimal_antichain"]
+    # in 2-D the swept sums are already the minimal generators: no pass
+    K = closure(MonomialIdeal(2, ((30, 0), (0, 31))))
+    calls.clear()
+    cube = power(K, 3)
+    assert calls == [("pair_sums_antichain", 61), ("pair_sums_antichain", 91)]
+    assert cube == product(product(K, K), K)
 
 
 def test_power_requires_positive_exponent():

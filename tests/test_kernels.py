@@ -35,20 +35,20 @@ def naive_minimal(vectors):
 
 @given(st.data())
 def test_minimal_antichain_matches_naive(data):
-    # every dimension branch of the kernel: the 1-D and 2-D sweeps, the 3-D
-    # Fenwick tree and, 4-D and 5-D, the double loop and the bitsets
+    # every dimension branch of the kernel: the 1-D and 2-D sweeps and,
+    # 3-D to 5-D, the double loop and the bitsets
     for dim in range(1, 6):
         vecs = data.draw(vectors_strategy(dim, max_len=80), label=f"dim {dim}")
         assert kernels.minimal_antichain(vecs) == naive_minimal(vecs)
 
 
-# At the default cap the 4-D and 5-D inputs take one bitset pass; with the
-# cap at 32 points they also reach the halving, the coordinate split and the
-# 3-D sweep.  The cap is not used below 4-D.
+# At the default cap the 3-D to 5-D inputs take one bitset pass; with the
+# cap at 32 points they also reach the halving, the coordinate split (from
+# 4-D) and the two-coordinate sweep.  1-D and 2-D never use the cap.
 @pytest.mark.parametrize(
     "dim, cap",
     [pytest.param(dim, None, id=str(dim)) for dim in range(1, 6)]
-    + [pytest.param(dim, 32, id=f"{dim}-cap32") for dim in (4, 5)],
+    + [pytest.param(dim, 32, id=f"{dim}-cap32") for dim in (3, 4, 5)],
 )
 def test_minimal_antichain_matches_naive_on_large_inputs(dim, cap, monkeypatch):
     if cap is not None:
@@ -65,12 +65,13 @@ def test_minimal_antichain_matches_naive_on_large_inputs(dim, cap, monkeypatch):
             assert kernels.minimal_antichain(case) == naive_minimal(case)
 
 
-@pytest.mark.parametrize("dim", [4, 5])
+@pytest.mark.parametrize("dim", [3, 4, 5])
 def test_minimal_antichain_splits_above_the_bitset_cap(dim, monkeypatch):
     # distinct points on a hyperplane are all minimal, and a point raised
     # from one of them is not; the answer is known without a quadratic check
     rng = random.Random(dim)
-    total = 40
+    # a 3-D plane needs a larger total to hold enough distinct points
+    total = 200 if dim == 3 else 40
     stair = []
     while len(stair) < 4000:
         head = [rng.randint(0, total) for _ in range(dim - 1)]
@@ -169,26 +170,27 @@ def test_squares_form_the_same_sums_as_products(vecs):
     )
 
 
-@given(st.integers(1, 5).flatmap(lambda d: st.tuples(vectors_strategy(d), vectors_strategy(d))))
-def test_undivided_matches_naive(pair):
+@given(st.integers(2, 5).flatmap(lambda d: st.tuples(vectors_strategy(d), vectors_strategy(d))))
+def test_undominated_matches_naive(pair):
     A, B = pair
-    assert kernels._undivided(A, B) == naive_undivided(A, B)
+    assert kernels._undominated(A, B, 0) == naive_undominated(A, B)
 
 
-def naive_undivided(A, B):
-    return [b for b in B if not any(all(x <= y for x, y in zip(a, b)) for a in A)]
+def naive_undominated(A, B):
+    return [not any(all(x <= y for x, y in zip(a, b)) for a in A) for b in B]
 
 
-@pytest.mark.parametrize("dim", [4, 5])
-def test_undivided_splits_a_tuple_above_the_bitset_cap(dim, monkeypatch):
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_undominated_splits_a_tuple_above_the_bitset_cap(dim, monkeypatch):
     # closure passes an ideal's generator tuple as B; above the cap the
-    # coordinate split must take it as it takes a list
+    # coordinate split and the two-coordinate sweep must take it as they
+    # take a list
     monkeypatch.setattr(kernels, "_BITSET_POINTS", 32)
     rng = random.Random(dim)
     for top in (6, 40):
         A = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(120)]
         B = tuple(tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(150))
-        assert kernels._undivided(A, B) == naive_undivided(A, B)
+        assert kernels._undominated(A, B, 0) == naive_undominated(A, B)
 
 
 @given(vector_family())
