@@ -101,10 +101,12 @@ def contains_monomial(I: MonomialIdeal, v) -> bool:
 
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Ideal product: minimal antichain of all pairwise generator sums."""
+    """Ideal product: the pairwise generator sums, minimalized from 3-D up."""
     _same_dim(I, J.dim, "product")
     gens = kernels.pair_sums_antichain(I.generators, J.generators)
-    return MonomialIdeal._from_antichain(I.dim, kernels.minimal_antichain(gens))
+    if I.dim > 2:
+        gens = kernels.minimal_antichain(gens)
+    return MonomialIdeal._from_antichain(I.dim, gens)
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -132,7 +134,7 @@ def colon_by_monomial(I: MonomialIdeal, f) -> MonomialIdeal:
     """
     f = _check_vector(f, I.dim)
     gens = [tuple(a - min(a, b) for a, b in zip(g, f)) for g in I.generators]
-    return minimalize(gens, I.dim)
+    return MonomialIdeal._from_antichain(I.dim, kernels.minimal_antichain(gens))
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -143,7 +145,7 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         for g in I.generators
         for h in J.generators
     }
-    return minimalize(gens, I.dim)
+    return MonomialIdeal._from_antichain(I.dim, kernels.minimal_antichain(gens))
 
 
 def colon_by_maximal(I: MonomialIdeal) -> MonomialIdeal:

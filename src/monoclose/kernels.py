@@ -14,12 +14,12 @@ work per dimension, for m distinct vectors:
 * 3-D and up, below a few dozen points: each point is simply checked
   against the minimal points kept before it; on a handful of points that
   is about three times cheaper than building bitsets;
-* 3-D and up, up to ``_BITSET_POINTS`` (2048): bitsets.  Per coordinate,
-  the indices of the points are ORed into one int per value and prefix-ORed
-  over the sorted values; a point's lookup at its own value, ANDed over the
-  coordinates, is the set of points at or below it.  That is d * m ORs and
-  ANDs of m-bit ints, about d * m^2 / 30 steps over CPython's 30-bit
-  digits; each list of such ints holds at most 2048^2 bits (512 KB);
+* 3-D and up, up to ``_BITSET_POINTS`` (2048): bitsets.  Per coordinate
+  but the first, the indices of the points are ORed into one int per value
+  and prefix-ORed over the sorted values; a point's lookups, ANDed, hold
+  the points at or below it there, of which only earlier ones dominate it.
+  That is (d - 1) * m^2 / 30 steps over CPython's 30-bit digits; each list
+  of such ints holds at most 2048^2 bits (512 KB);
 * 3-D and up, more points: divide and conquer on the sorted list; the upper
   half is filtered against the lower half's minima in one dimension less,
   which again splits on a coordinate until two remain and ends in the
@@ -44,7 +44,7 @@ A scan or a further product takes them as they are; a caller that needs
 the minimal generators passes them through ``minimal_antichain``.
 
 The box scan accepts any generating set as seeds, minimal or not, and
-stops at its first find when the oracle asks it to.  Each separator it
+stops once it has as many finds as its caller's ``limit``.  Each separator it
 caches carries the partial sums of its functional over the current
 prefix, which the walk updates as each prefix coordinate changes.
 """
@@ -98,8 +98,8 @@ def _minima(points):
     """Minimal elements of lex-sorted distinct ``points``, 3-D and up.
 
     A few points are checked directly; more go through one bitset pass
-    (``_below``) up to ``_BITSET_POINTS``, at most 2048^2 bits (512 KB) per
-    list of masks, and are split into halves above that.
+    (``_below`` from coordinate 1) up to ``_BITSET_POINTS``, and are split
+    into halves above that.
     """
     if len(points) <= _NAIVE_POINTS:
         out = []
@@ -108,10 +108,10 @@ def _minima(points):
                 out.append(v)
         return out
     if len(points) <= _BITSET_POINTS:
-        # the points are distinct: only v itself and its strict dominators
-        # lie at or below v
-        below = _below(points, points, 0)
-        return [v for j, v in enumerate(points) if below[j] == 1 << j]
+        # every dominator of points[j] comes before it, so it is minimal
+        # when no earlier point lies at or below it on coordinates 1..
+        below = _below(points, points, 1)
+        return [v for j, v in enumerate(points) if not below[j] & ((1 << j) - 1)]
     mid = len(points) // 2
     low = _minima(points[:mid])
     high = _minima(points[mid:])
@@ -258,30 +258,29 @@ def dominates_any(gens, v):
 
 
 class _Stop(Exception):
-    """Ends a box scan at the find its oracle marked as the last one."""
+    """Unwinds a box scan's walk from the find that reaches its ``limit``."""
 
 
-def box_closure_scan(bounds, seeds, member, budget=None):
+def box_closure_scan(bounds, seeds, member, limit=None):
     """Find the minimal lattice points of an up-closed region inside a box.
 
     ``bounds``: inclusive upper corner of the box.
     ``seeds``: points already known to be in the region (their multiples are
     skipped without consulting ``member``), in any order; they need not be
     an antichain, and only the ideal they generate matters.
-    ``member(v)``: exact membership oracle.  Returns ``(True, stop)`` or
-    ``(False, sep)``.  ``stop`` true ends the scan at v, so that v is its
-    only find.  ``sep`` is either ``None`` or an integer-scaled separating
+    ``member(v)``: exact membership oracle, answering membership only.
+    Returns ``(True, None)`` for a region point and ``(False, sep)`` for any
+    other; ``sep`` is either ``None`` or an integer-scaled separating
     functional ``(nums, den)`` proving ``sum(nums*u) < den`` for u = v and
     ``>= den`` for every point of the region (so ``nums >= 0``, the region
     being up-closed).  Separators are cached and reused so the oracle is
     only consulted when no cached separator excludes the point.
-    ``budget``: optional cap on the number of found points; exceeding it
-    raises GeneratorBudgetError instead of grinding on.
+    ``limit``: optional positive number of finds after which the scan
+    stops, asking the oracle nothing further; None scans the whole box.
 
-    Returns the list of newly found minimal region points, in lex order.
-    The union of ``seeds`` and the result generates region ∩ N^n; points
-    returned are exactly the minimal region points not dominated by a seed
-    (the first of them only, when the oracle says stop there).
+    Returns the minimal region points not dominated by a seed, in lex
+    order, or only the ``limit`` lex-least of them; with no limit, the
+    union of ``seeds`` and the result generates region ∩ N^n.
 
     The scan walks the box in lexicographic depth-first order, which visits
     every divisor of a point before the point itself; a point that reaches
@@ -356,11 +355,7 @@ def box_closure_scan(bounds, seeds, member, budget=None):
             inside, sep = member(v)
             if inside:
                 found.append(v)
-                if budget is not None and len(found) > budget:
-                    raise GeneratorBudgetError(
-                        f"more than {budget} new generators in box scan"
-                    )
-                if sep:  # for an inside point: the oracle's stop flag
+                if len(found) == limit:
                     raise _Stop
                 return t
             if sep is None:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import kernels
-from .errors import DegenerateIdealError
+from .errors import DegenerateIdealError, GeneratorBudgetError
 from .ideals import MonomialIdeal, _check_vector
 from .simplex import max_weight_lp
 
@@ -100,13 +100,12 @@ def _halfspace_profile(gens, dim):
     return nums, base, corner
 
 
-def _scan_member(gens, dim, threshold, stop=False):
+def _scan_member(gens, dim, threshold):
     """Membership callback for box scans over NP(I) scaled by ``threshold``.
 
-    Returns a callable v -> (True, stop) or (False, separator), where the
+    Returns a callable v -> (True, None) or (False, separator), where the
     separator is integer-scaled as (nums, den): sum(nums * u) >= den for
-    every region point u and < den for the rejected v.  ``stop`` ends the
-    scan at its first find.
+    every region point u and < den for the rejected v.
     """
     profile = _halfspace_profile(gens, dim)
     if profile is not None:
@@ -119,7 +118,7 @@ def _scan_member(gens, dim, threshold, stop=False):
             for c, x in zip(nums, v):
                 acc += c * x
             if acc >= den:
-                return True, stop
+                return True, None
             return False, sep
 
         return member
@@ -127,7 +126,7 @@ def _scan_member(gens, dim, threshold, stop=False):
     def member(v):
         res = max_weight_lp(gens, v, threshold)
         if res[0] == INSIDE:
-            return True, stop
+            return True, None
         sep_frac = res[1]
         scale = lcm(*(c.denominator for c in sep_frac))
         nums = tuple(int(c * scale) for c in sep_frac)
@@ -177,17 +176,17 @@ def pure_power_member(alpha, v) -> bool:
     return sum((base // a) * x for a, x in zip(alpha, v)) >= base
 
 
-def _missing_generators(seeds, base_gens, threshold, max_generators=None, first=False):
+def _missing_generators(seeds, base_gens, threshold, limit=None):
     """Minimal generators of ``threshold * NP(base_gens)`` that no seed divides.
 
     ``seeds`` generate an ideal K, minimally or not, and base_gens span
     NP(K) scaled down by threshold.  A lex-sorted list, empty exactly when
-    K is integrally closed; ``first``: only the lex-least one.  Scans the
-    box of the seeds, seeded with them.
+    K is integrally closed; with ``limit``, only the ``limit`` lex-least
+    ones.  Scans the box of the seeds, seeded with them.
     """
     bounds = tuple(map(max, zip(*seeds)))
-    member = _scan_member(base_gens, len(bounds), threshold, first)
-    return kernels.box_closure_scan(bounds, seeds, member, max_generators)
+    member = _scan_member(base_gens, len(bounds), threshold)
+    return kernels.box_closure_scan(bounds, seeds, member, limit)
 
 
 def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdeal:
@@ -201,7 +200,10 @@ def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdea
     """
     _require_proper(I, "integral closure")
     _require_budget(max_generators)
-    found = _missing_generators(I.generators, I.generators, 1, max_generators)
+    limit = None if max_generators is None else max_generators + 1
+    found = _missing_generators(I.generators, I.generators, 1, limit)
+    if len(found) == limit:
+        raise GeneratorBudgetError(f"more than {limit - 1} new generators in box scan")
     keep = kernels._undominated(found, I.generators, 0)
     gens = sorted([g for g, ok in zip(I.generators, keep) if ok] + found)
     return MonomialIdeal._from_antichain(I.dim, gens)

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from . import kernels
 from .errors import GeneratorBudgetError
-from .ideals import MonomialIdeal, colon_by_maximal, contains_monomial, is_m_primary
+from .ideals import MonomialIdeal, colon_by_maximal, is_m_primary
 from .newton import (
     _missing_generators,
     _require_budget,
@@ -89,7 +89,7 @@ def is_integrally_closed(I: MonomialIdeal):
     not in I.
     """
     _require_proper(I, "integral closedness")
-    missing = _missing_generators(I.generators, I.generators, 1, first=True)
+    missing = _missing_generators(I.generators, I.generators, 1, 1)
     return (False, missing[0]) if missing else (True, None)
 
 
@@ -98,12 +98,13 @@ def socle_criterion_check(I: MonomialIdeal) -> bool:
 
     Sound for m-primary ideals: any element of (I : m) not in I must be one
     of its minimal generators (a proper multiple of a colon element already
-    lands in I), so checking generators covers the whole socle.
+    lands in I), and a minimal generator of (I : m) in I is one of I's own.
     """
     if not is_m_primary(I):
         raise ValueError("socle criterion requires an m-primary ideal")
+    own = set(I.generators)
     for v in colon_by_maximal(I).generators:
-        if contains_monomial(I, v):
+        if v in own:
             continue
         if np_member(I, v).is_inside:
             return False
@@ -141,8 +142,7 @@ def _check_powers(I, base_gens, max_generators, closed=False):
     generate it without always being minimal, the scan takes them as they
     are, and they are the next power's operand.  ``max_generators`` bounds
     the minimal generator count of each power; a power is minimalized only
-    when it has more sums than that.  The scans return at most their first
-    find, so they take no budget.
+    when it has more sums than that.
     Returns the (k, closed?) pairs and the witness, or None when every power
     checked is closed.
     """
@@ -161,7 +161,7 @@ def _check_powers(I, base_gens, max_generators, closed=False):
         elif closed:
             checked.append((1, True))
             continue
-        missing = _missing_generators(seeds, base_gens, k, first=True)
+        missing = _missing_generators(seeds, base_gens, k, 1)
         checked.append((k, not missing))
         if missing:
             return tuple(checked), missing[0]

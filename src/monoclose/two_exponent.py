@@ -8,9 +8,10 @@ lambda_a = ceil(a*l/s), the set F_k collects every monomial
 in m x-variables and n y-variables.  J_k is the ideal F_k generates and
 I_k = (x_i^(ks), y_j^(kl)) the pure-power ideal it closes over.  The family
 satisfies a tight bundle of identities (J_k = J^k = closure(I_k), an exact
-ceiling inequality, a socle description) and ``verify_all`` machine-checks
-each of them on a concrete spec, reporting per-check pass/fail with the
-offending vector on failure.
+ceiling inequality, a socle description).  ``check_lambda_inequality``
+evaluates the ceiling inequality, and ``verify_all`` machine-checks the
+rest on a concrete spec, reporting per-check pass/fail with the offending
+vector on failure.
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ def ideal_I(spec: TwoExponentSpec) -> MonomialIdeal:
 def socle_generators(spec: TwoExponentSpec) -> list:
     """Vectors (u | w) with sum(u) = ks - e, sum(w) = lambda_e - 1, e = 1..ks.
 
-    These generate (J_k : (all variables)) modulo J_k; ``verify_all`` in the
-    test suite confirms that against the intersection-of-colons route rather
-    than assuming it.
+    These generate (J_k : (all variables)) modulo J_k.  ``verify_all`` only
+    checks that they lie outside NP(I_k); the test suite compares them with
+    the intersection-of-colons route.
     """
     ks = spec.k * spec.s
     out = []

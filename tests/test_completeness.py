@@ -8,8 +8,8 @@ containment and idempotence checks cannot.
 
 The scan itself is also compared with a plain lexicographic reference that
 records which points reach the oracle: the optimized scan must ask about
-exactly the same points, in the same order, and trip its budget at the same
-found count.  The normality routes, which scan unminimalized pair sums, are
+exactly the same points, in the same order, and stop at its limit after the
+same find.  The normality routes, which scan unminimalized pair sums, are
 compared with scans of each power's minimal generators, and the sums they
 scan must generate each power exactly.
 """
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from monoclose import kernels, normality
 from monoclose.errors import GeneratorBudgetError
 from monoclose.ideals import MonomialIdeal, minimalize, power
-from monoclose.newton import _scan_member, closure, np_member
+from monoclose.newton import _missing_generators, _scan_member, closure, np_member
 from monoclose.normality import (
     NORMAL,
     _diag_ideal,
@@ -51,12 +51,12 @@ def brute_closure(I):
     return naive_minimal(inside)
 
 
-def reference_scan(bounds, seeds, member, budget=None, log=None):
+def reference_scan(bounds, seeds, member, limit=None, log=None):
     """The box scan's contract in its plainest form.
 
     Visits the box in lex order and asks ``member`` about a point exactly
     when no seed or earlier find divides it and no separator returned so
-    far excludes it.
+    far excludes it; returns right after the ``limit``-th find.
     """
     found, seps = [], []
     for v in box(bounds):
@@ -69,8 +69,8 @@ def reference_scan(bounds, seeds, member, budget=None, log=None):
         inside, sep = member(v)
         if inside:
             found.append(v)
-            if budget is not None and len(found) > budget:
-                raise GeneratorBudgetError(f"more than {budget} new generators")
+            if len(found) == limit:
+                break
         elif sep is not None:
             seps.append(sep)
     return found
@@ -205,21 +205,45 @@ def test_box_scan_asks_the_oracle_about_the_reference_points(I, k, seeded):
     assert got_log == want_log
 
 
+def check_limit(bounds, seeds, member, limit):
+    """The scan and the reference stop after the same find, asking the same."""
+    full = reference_scan(bounds, seeds, member)
+    want_log, got_log = [], []
+    want = reference_scan(bounds, seeds, member, limit, log=want_log)
+    got = kernels.box_closure_scan(bounds, seeds, logged(member, got_log), limit)
+    assert got == want == full[:limit]
+    assert got_log == want_log
+    if want:  # it asked nothing after the last find
+        assert got_log[-1] == want[-1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_ideal_up_to_5, st.integers(1, 3), st.booleans())
 @example(LP_MID_WALK, 2, False)
 def test_box_scan_stops_at_its_first_find_when_the_oracle_says_so(I, k, seeded):
+    # limit 1, as the normality routes scan: the oracle answers membership
+    # only, and the scan ends at the first point it answers True for
     K = small_power(I, k)
     bounds = generator_box(K.generators)
     seeds = list(K.generators) if seeded else []
-    want_log, got_log = [], []
-    want = reference_scan(bounds, seeds, _scan_member(I.generators, I.dim, k), log=want_log)
-    stop = _scan_member(I.generators, I.dim, k, stop=True)
-    got = kernels.box_closure_scan(bounds, seeds, logged(stop, got_log))
-    assert got == want[:1]
-    assert got_log == want_log[: len(got_log)]
-    if want:  # the find was the last point it asked about
-        assert got_log[-1] == want[0]
+    member = _scan_member(I.generators, I.dim, k)
+    check_limit(bounds, seeds, member, 1)
+    assert all(member(v) == (True, None) for v in reference_scan(bounds, seeds, member))
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_ideal_up_to_5, st.integers(1, 3), st.booleans())
+def test_box_scan_budget_trips_at_the_reference_count(I, k, seeded):
+    # a closure budget of one find short of all of them stops the scan at
+    # the reference's count; a limit of exactly all of them changes nothing
+    K = small_power(I, k)
+    bounds = generator_box(K.generators)
+    seeds = list(K.generators) if seeded else []
+    member = _scan_member(I.generators, I.dim, k)
+    total = len(reference_scan(bounds, seeds, member))
+    assume(total >= 1)
+    for limit in sorted({max(total - 1, 1), total}):
+        check_limit(bounds, seeds, member, limit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,22 +265,19 @@ def test_box_scan_takes_any_generating_set_as_seeds(I, k, rng):
     assert got_log == want_log
 
 
-@settings(max_examples=40, deadline=None)
-@given(any_ideal, st.integers(1, 2))
-def test_box_scan_budget_trips_at_the_reference_count(I, k):
-    K = small_power(I, k)
-    bounds = generator_box(K.generators)
-    member = _scan_member(I.generators, I.dim, k)
-    total = len(reference_scan(bounds, [], member))
-    assume(total >= 1)
-    budget = total - 1
-    want_log, got_log = [], []
-    with pytest.raises(GeneratorBudgetError):
-        reference_scan(bounds, [], member, budget, log=want_log)
-    with pytest.raises(GeneratorBudgetError):
-        kernels.box_closure_scan(bounds, [], logged(member, got_log), budget)
-    assert got_log == want_log
-    assert len(kernels.box_closure_scan(bounds, [], member, total)) == total
+@settings(max_examples=60, deadline=None)
+@given(any_ideal)
+@example(MonomialIdeal(3, ((4, 0, 0), (0, 5, 0), (0, 0, 7))))
+@example(power(LP_MID_WALK, 2))
+def test_closure_budget_trips_one_find_past_it(I):
+    # closure stops its scan one find past max_generators and raises there
+    small_power(I, 1)
+    f = len(_missing_generators(I.generators, I.generators, 1))
+    if f >= 2:  # a budget below 1 is refused before any scan
+        message = f"^more than {f - 1} new generators in box scan$"
+        with pytest.raises(GeneratorBudgetError, match=message):
+            closure(I, max_generators=f - 1)
+    assert closure(I, max_generators=max(f, 1)) == closure(I)
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,9 +369,9 @@ def scanned_seeds(route, *args):
     seeds_at = {}
     real = normality._missing_generators
 
-    def spy(seeds, base_gens, threshold, max_generators=None, first=False):
+    def spy(seeds, base_gens, threshold, limit=None):
         seeds_at[threshold] = list(seeds)
-        return real(seeds, base_gens, threshold, max_generators, first)
+        return real(seeds, base_gens, threshold, limit)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(normality, "_missing_generators", spy)

@@ -18,6 +18,7 @@ from monoclose.ideals import (
     product,
 )
 from monoclose.newton import closure
+from test_kernels import naive_minimal
 
 
 @st.composite
@@ -145,6 +146,13 @@ def test_power_minimalizes_once(monkeypatch):
     cube = power(K, 3)
     assert calls == [("pair_sums_antichain", 61), ("pair_sums_antichain", 91)]
     assert cube == product(product(K, K), K)
+    # and so does a 2-D product of two different ideals
+    L = closure(MonomialIdeal(2, ((7, 0), (0, 11))))
+    calls.clear()
+    KL = product(K, L)
+    assert [name for name, _ in calls] == ["pair_sums_antichain"]
+    sums = [tuple(a + b for a, b in zip(g, h)) for g in K.generators for h in L.generators]
+    assert list(KL.generators) == naive_minimal(sums)
 
 
 def test_power_requires_positive_exponent():

@@ -89,6 +89,29 @@ def test_minimal_antichain_splits_above_the_bitset_cap(dim, monkeypatch):
     assert kernels.minimal_antichain(vecs) == split
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_bitset_minima_leave_coordinate_0_to_lex_order(dim):
+    # the bitset tier compares coordinates 1.. only: of two points equal
+    # there, the one with the larger coordinate 0 goes, and a point whose
+    # tail lies below an earlier point's tail stays, its coordinate 0
+    # being larger
+    pad = (3,) * (dim - 3)
+    equal_tails = [(1, 5, 5) + pad, (3, 5, 5) + pad]
+    lower_tail = [(2, 7, 1) + pad, (4, 6, 0) + pad]
+    # a hyperplane far above them, which they may divide but not the reverse
+    rng = random.Random(dim)
+    plane = set()
+    while len(plane) < 40:
+        head = [rng.randint(0, 20) for _ in range(dim - 1)]
+        plane.add(tuple(head) + (60 - sum(head),))
+    points = sorted(plane.union(equal_tails, lower_tail))
+    assert kernels._NAIVE_POINTS < len(points) <= kernels._BITSET_POINTS
+    got = kernels._minima(points)
+    assert got == naive_minimal(points)
+    assert equal_tails[0] in got and equal_tails[1] not in got
+    assert lower_tail[0] in got and lower_tail[1] in got
+
+
 BIG, HUGE = 1 << 40, 1 << 70
 
 
@@ -279,12 +302,12 @@ def test_box_scan_with_seeds_and_no_separator():
 
 
 def test_box_scan_budget():
+    # a limit stops the scan at that many finds, the lex-least ones, and
+    # raises nothing; four minimal points in all
     member = halfspace_member((1, 1), 3)
-    with pytest.raises(GeneratorBudgetError):
-        kernels.box_closure_scan((5, 5), [], member, budget=3)
-    # exactly at the cap is fine: four minimal points
-    out = kernels.box_closure_scan((5, 5), [], member, budget=4)
-    assert out == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    everything = [(0, 3), (1, 2), (2, 1), (3, 0)]
+    for limit in (1, 3, 4, 5, None):
+        assert kernels.box_closure_scan((5, 5), [], member, limit) == everything[:limit]
 
 
 def test_box_scan_ignores_seeds_outside_the_box():

@@ -146,9 +146,9 @@ def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
     real = normality._missing_generators
     thresholds = []
 
-    def spy(seeds, base_gens, threshold, max_generators=None, first=False):
+    def spy(seeds, base_gens, threshold, limit=None):
         thresholds.append(threshold)
-        return real(seeds, base_gens, threshold, max_generators, first)
+        return real(seeds, base_gens, threshold, limit)
 
     monkeypatch.setattr(normality, "_missing_generators", spy)
     grid = [(3,), (2, 5), (4, 5, 7), (2, 3, 4, 5)] + list(
