@@ -44,9 +44,9 @@ A scan or a further product takes them as they are; a caller that needs
 the minimal generators passes them through ``minimal_antichain``.
 
 The box scan accepts any generating set as seeds, minimal or not, and
-stops once it has as many finds as its caller's ``limit``.  Each separator it
-caches carries the partial sums of its functional over the current
-prefix, which the walk updates as each prefix coordinate changes.
+stops once it has as many finds as its caller's ``limit``.  It tests its
+cached separators only where it would ask the oracle: once at the start of
+each row, and again on the one separator that arrives within the row.
 """
 
 from __future__ import annotations
@@ -297,19 +297,16 @@ def box_closure_scan(bounds, seeds, member, limit=None):
       heights live in one slab of prod(bounds[1:-1] + 1) cells, indexed by
       ``p[1:]``, that the walk overwrites in place: a cell holds h(p - e_0),
       lowered by own(p) as the walk enters p[0], until the walk reaches p.
-      A cell under a separator-skipped prefix keeps a stale value; no
-      region point lies at or below such a prefix, so the true height and
-      the stale one both mean "nothing dominates".  A row of height 0 ends
-      its run of rows, whose cells are all set to 0.  A slab of more than
-      ``SCAN_MAX_CELLS`` cells raises GeneratorBudgetError before the scan.
-    * A separator with ``nums >= 0`` excludes, for a fixed prefix, exactly
-      the ``t`` below ``ceil(rest / nums[d])``; so each level starts at the
-      largest such bound and jumps again when a new separator arrives.
-      Here rest = den - sum(nums[:d] * prefix[:d]) - max of
-      sum(nums[d+1:] * u[d+1:]) in the box.  Each cached separator keeps
-      the partial sums sum(nums[:i] * prefix[:i]) for every depth i: they
-      are set when it arrives and the walk updates them each time it
-      changes a prefix coordinate.
+      A row of height 0 ends its run of rows, whose cells are all set to 0.
+      A slab of more than ``SCAN_MAX_CELLS`` cells raises
+      GeneratorBudgetError before the scan.
+    * A separator with ``nums >= 0`` excludes, in the row at prefix p,
+      exactly the ``t`` below ``ceil(rest / nums[-1])``, where
+      rest = den - sum(nums[:-1] * p); with rest > 0 and nums[-1] = 0 it
+      excludes the whole row.  So each row starts at the largest such bound
+      over the cached separators, and jumps again on a new separator alone.
+      The walk itself tests no separator: a prefix they exclude holds no
+      region point, hence no seed or find, and its rows ask nothing.
     """
     n = len(bounds)
     if n == 0:
@@ -330,25 +327,24 @@ def box_closure_scan(bounds, seeds, member, limit=None):
         if all(map(le, g[:last], bounds)):
             layers.setdefault(g[0], []).append((sum(map(mul, g, stride)), g[last]))
     found = []
-    # (nums, den, suf, part): suf[d] = max of sum(nums[d:] * u[d:]) in the
-    # box, part[d] = sum(nums[:d] * prefix[:d]) at the current prefix
-    seps = []
+    seps = []  # (nums[:last], nums[last], den) per cached separator
     prefix = [0] * n
 
-    def first_open(d, t, new_seps):
-        # least t' >= t at depth d whose subtree the separators leave open
-        for nums, den, suf, part in new_seps:
-            rest = den - suf[d + 1] - part[d]
+    def first_open(t, these):
+        # least t' >= t in the current row that the separators in these
+        # leave open; head has `last` entries, so prefix[last] is not read
+        for head, tail, den in these:
+            rest = den - sum(map(mul, head, prefix))
             if rest > 0:
-                if not nums[d]:
-                    return bounds[d] + 1
-                t = max(t, -(-rest // nums[d]))
+                if not tail:
+                    return free
+                t = max(t, -(-rest // tail))
         return t
 
     def scan_row(end):
         # the row at the current prefix, up to (not including) t = end;
         # returns the t found inside, or None
-        t = first_open(last, 0, seps)
+        t = first_open(0, seps)
         while t < end:
             prefix[last] = t
             v = tuple(prefix)
@@ -362,26 +358,16 @@ def box_closure_scan(bounds, seeds, member, limit=None):
                 t += 1
             else:
                 nums, den = sep
-                suf = [0] * (n + 1)
-                for i in range(last, -1, -1):
-                    suf[i] = suf[i + 1] + nums[i] * bounds[i]
-                part = [0] * n
-                for i in range(last):
-                    part[i + 1] = part[i] + nums[i] * prefix[i]
-                entry = (tuple(nums), den, suf, part)
+                entry = (nums[:last], nums[last], den)
                 seps.append(entry)
-                t = first_open(last, t + 1, (entry,))
+                t = first_open(t + 1, (entry,))
         return None
 
     def walk(d, base):
         # the subtree below prefix[:d], whose slab index so far is base
-        t = first_open(d, 0, seps)
-        while t <= bounds[d]:
+        for t in range(bounds[d] + 1):
             prefix[d] = t
-            for nums, _, _, part in seps:
-                part[d + 1] = part[d] + nums[d] * t
             cell = base + t * stride[d]
-            known = len(seps)
             if d == 0:  # own(p) joins h(p - e_0) in the cells of this layer
                 for c, h in layers.get(t, ()):
                     height[c] = min(height[c], h)
@@ -402,9 +388,6 @@ def box_closure_scan(bounds, seeds, member, limit=None):
                     return
                 hit = scan_row(h)
                 height[cell] = h if hit is None else hit
-            t += 1
-            if len(seps) > known:
-                t = first_open(d, t, seps[known:])
 
     try:
         if n == 1:

@@ -76,12 +76,15 @@ def _require_budget(max_generators):
 def _halfspace_profile(gens, dim):
     """Integer form of NP(gens) when it is a single corner halfspace.
 
-    If some generator a_i * e_i sits on each axis the generators use and
-    every generator satisfies sum(v_i / a_i) >= 1, then NP equals that
-    halfspace: the corners generate it from below, the containment pins it
-    from above.  Returns (nums, base, corner_index) with the halfspace
-    written as sum(nums * v) >= base, or None when the shape is anything
-    else.  Covers pure-power ideals and all of their integral closures.
+    Each pure-power generator a_i * e_i is a corner on axis i.  Given at
+    least one corner, the corners and the orthant span the halfspace
+    sum(v_i / a_i) >= 1 over the axes that have one, the others being free;
+    if every generator lies in that halfspace, NP equals it.  Returns
+    (nums, base, corner_index) with the halfspace written as
+    sum(nums * v) >= base, an axis without a corner getting coefficient 0
+    and corner index -1, or None when the shape is anything else: e.g.
+    (x^2, y^2, x y z^5) gives ((1, 1, 0), 2, [2, 0, -1]).  Covers pure-power
+    ideals and all of their integral closures.
     """
     alpha = [0] * dim
     corner = [-1] * dim
@@ -254,7 +257,11 @@ def dependence_witness(I: MonomialIdeal, v) -> DependenceWitness:
     denominators the weights themselves scale to an integer multiset, so
     some k at or below that always works and the minimal one is found.
     """
-    verdict = np_member(I, v)
+    return _dependence(I, v, np_member(I, v))
+
+
+def _dependence(I, v, verdict):
+    # dependence_witness for a caller that already holds np_member(I, v)
     if not verdict.is_inside:
         raise ValueError(f"{v} is outside the Newton polyhedron; no witness exists")
     v = tuple(v)

@@ -22,8 +22,8 @@ from .newton import (
     _missing_generators,
     _require_budget,
     _require_proper,
+    _scan_member,
     closure,
-    np_member,
 )
 
 NORMAL = "normal"
@@ -103,10 +103,11 @@ def socle_criterion_check(I: MonomialIdeal) -> bool:
     if not is_m_primary(I):
         raise ValueError("socle criterion requires an m-primary ideal")
     own = set(I.generators)
+    member = _scan_member(I.generators, I.dim, 1)
     for v in colon_by_maximal(I).generators:
         if v in own:
             continue
-        if np_member(I, v).is_inside:
+        if member(v)[0]:
             return False
     return True
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from monoclose import cli, kernels, normality
+from monoclose import cli, kernels, newton, normality
 from monoclose.cli import build_parser, main, parse_ideal, parse_vector, run_command
 from monoclose.ideals import MonomialIdeal
 from monoclose.newton import closure
@@ -84,6 +84,21 @@ def test_member_witness_json():
     for _, w in report["certificates"][0]["weights"]:
         num, _, den = w.partition("/")
         assert num.isdigit() and (den == "" or den.isdigit())
+
+
+def test_member_witness_solves_the_lp_once(monkeypatch):
+    lp, solves = newton.max_weight_lp, []
+
+    def counted(*args):
+        solves.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(newton, "max_weight_lp", counted)
+    argv = ["member", "-i", "0,1,3;1,3,0;2,0,1", "-v", "1,2,2", "--witness"]
+    code, run = run_command(argv)
+    assert code == 0
+    assert run.lines[-1] == "dependence: power 2, factors g0 g1, slack 1,0,1"
+    assert len(solves) == 1
 
 
 def test_member_outside_has_separator():

@@ -187,12 +187,17 @@ def test_box_scan_matches_brute_force_with_and_without_seeds(I, k):
 # a general ideal: the LP oracle returns its separators in the middle of
 # the walk, after the prefix has moved on from where the first one arrived
 LP_MID_WALK = MonomialIdeal(3, ((0, 1, 3), (1, 3, 0), (2, 0, 1)))
+# four variables, LP oracle: some separators exclude whole prefixes of
+# rows, which the walk enters all the same
+CYCLIC_4 = MonomialIdeal(4, ((4, 1, 0, 0), (0, 4, 1, 0), (0, 0, 4, 1), (1, 0, 0, 4)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(any_ideal_up_to_5, st.integers(1, 3), st.booleans())
 @example(LP_MID_WALK, 1, False)
 @example(LP_MID_WALK, 2, True)
+@example(CYCLIC_4, 1, False)
+@example(CYCLIC_4, 1, True)
 def test_box_scan_asks_the_oracle_about_the_reference_points(I, k, seeded):
     K = small_power(I, k)
     bounds = generator_box(K.generators)

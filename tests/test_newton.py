@@ -1,5 +1,6 @@
 """Newton polyhedron membership, integral closure, dependence witnesses."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from monoclose.errors import DegenerateIdealError
 from monoclose.ideals import MonomialIdeal, contains_monomial
 from monoclose.newton import (
+    _halfspace_profile,
     _missing_generators,
     closure,
     dependence_witness,
@@ -17,6 +19,7 @@ from monoclose.newton import (
     pure_power_member,
     validate_certificate,
 )
+from monoclose.simplex import max_weight_lp
 
 
 @st.composite
@@ -78,6 +81,16 @@ def test_pure_power_member_agrees_with_lp(alpha, data):
         ),
     )
     assert pure_power_member(alpha, v) == np_member(diag, v).is_inside
+
+
+def test_halfspace_with_a_cornerless_axis_agrees_with_lp():
+    # no generator sits on the z axis: NP is x + y >= 2 with z free
+    I = MonomialIdeal(3, ((2, 0, 0), (0, 2, 0), (1, 1, 5)))
+    assert _halfspace_profile(I.generators, I.dim) == ((1, 1, 0), 2, [2, 0, -1])
+    for v in itertools.product(range(3), range(3), range(6)):
+        verdict = np_member(I, v)
+        assert verdict.decision == max_weight_lp(I.generators, v, 1)[0]
+        assert validate_certificate(I, v, verdict)
 
 
 @given(ideal_and_point())
