@@ -309,7 +309,7 @@ def _two_exp_spec(args, run: _Run) -> TwoExponentSpec:
 def _cmd_two_exp_gens(args, run: _Run) -> int:
     spec = _two_exp_spec(args, run)
     if args.socle:
-        vectors, kind = socle_generators(spec), "socle vectors"
+        vectors, kind = socle_generators(spec, args.max_gens), "socle vectors"
     else:
         vectors, kind = generators_F(spec, args.max_gens), "F_k vectors"
     run.verdict = {"kind": kind.split()[0], "count": len(vectors), "vectors": _vec_list(vectors)}

@@ -8,10 +8,11 @@ lambda_a = ceil(a*l/s), the set F_k collects every monomial
 in m x-variables and n y-variables.  J_k is the ideal F_k generates and
 I_k = (x_i^(ks), y_j^(kl)) the pure-power ideal it closes over.  The family
 satisfies a tight bundle of identities (J_k = J^k = closure(I_k), an exact
-ceiling inequality, a socle description).  ``check_lambda_inequality``
-evaluates the ceiling inequality, and ``verify_all`` machine-checks the
-rest on a concrete spec, reporting per-check pass/fail with the offending
-vector on failure.
+ceiling inequality, a socle description).  F_k and the socle vectors
+come from one enumerator over a list of (x-degree, y-degree) blocks, under
+one generator budget.  ``check_lambda_inequality`` evaluates the ceiling
+inequality, and ``verify_all`` machine-checks the rest on a concrete spec,
+reporting per-check pass/fail with the offending vector on failure.
 """
 
 from __future__ import annotations
@@ -137,38 +138,33 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _f_count(spec: TwoExponentSpec) -> int:
-    total = 0
-    ks = spec.k * spec.s
-    for a in range(ks + 1):
-        lam = lambda_ceil(a, spec.s, spec.l)
-        total += comb(ks - a + spec.m - 1, spec.m - 1) * comb(
-            lam + spec.n - 1, spec.n - 1
-        )
-    return total
-
-
-def generators_F(spec: TwoExponentSpec, budget: int = DEFAULT_F_BUDGET) -> list:
-    """All exponent vectors (u | w) with sum(u) = ks - a, sum(w) = lambda_a.
+def _block_vectors(spec: TwoExponentSpec, degrees: list, budget: int | None) -> list:
+    """Lex-sorted (u | w) with sum(u) = d, sum(w) = e over the (d, e) in ``degrees``.
 
     The count is computed combinatorially first and checked against
-    ``budget`` so a huge spec fails fast instead of enumerating forever.
-    Output is lex-sorted and duplicate-free (the x-degree determines a).
+    ``budget`` (None: no cap) so a huge spec fails fast instead of
+    enumerating forever.  The d's are distinct, so there are no duplicates.
     """
-    count = _f_count(spec)
-    if count > budget:
+    _require_budget(budget)
+    m, n = spec.m, spec.n
+    count = sum(comb(d + m - 1, m - 1) * comb(e + n - 1, n - 1) for d, e in degrees)
+    if budget is not None and count > budget:
         raise GeneratorBudgetError(
             f"spec would enumerate {count} generators, over the budget {budget}"
         )
+    return sorted(
+        u + w
+        for d, e in degrees
+        for u in _compositions(d, m)
+        for w in _compositions(e, n)
+    )
+
+
+def generators_F(spec: TwoExponentSpec, budget: int | None = DEFAULT_F_BUDGET) -> list:
+    """F_k: the (u | w) with sum(u) = ks - a, sum(w) = lambda_a, a = 0..ks."""
     ks = spec.k * spec.s
-    out = []
-    for a in range(ks + 1):
-        lam = lambda_ceil(a, spec.s, spec.l)
-        for u in _compositions(ks - a, spec.m):
-            for w in _compositions(lam, spec.n):
-                out.append(u + w)
-    out.sort()
-    return out
+    degrees = [(ks - a, lambda_ceil(a, spec.s, spec.l)) for a in range(ks + 1)]
+    return _block_vectors(spec, degrees, budget)
 
 
 def ideal_J(spec: TwoExponentSpec) -> MonomialIdeal:
@@ -181,22 +177,16 @@ def ideal_I(spec: TwoExponentSpec) -> MonomialIdeal:
     return _diag_ideal(spec.alpha_vector())
 
 
-def socle_generators(spec: TwoExponentSpec) -> list:
-    """Vectors (u | w) with sum(u) = ks - e, sum(w) = lambda_e - 1, e = 1..ks.
+def socle_generators(spec: TwoExponentSpec, budget: int | None = DEFAULT_F_BUDGET):
+    """The (u | w) with sum(u) = ks - e, sum(w) = lambda_e - 1, e = 1..ks.
 
-    These generate (J_k : (all variables)) modulo J_k.  ``verify_all`` only
-    checks that they lie outside NP(I_k); the test suite compares them with
-    the intersection-of-colons route.
+    These are exactly the generators of (J_k : (all variables)) not in J_k,
+    the staircase's corners; the test suite checks the equality against
+    ``colon_by_maximal``.  Refused over ``budget`` as ``generators_F`` is.
     """
     ks = spec.k * spec.s
-    out = []
-    for e in range(1, ks + 1):
-        lam = lambda_ceil(e, spec.s, spec.l)
-        for u in _compositions(ks - e, spec.m):
-            for w in _compositions(lam - 1, spec.n):
-                out.append(u + w)
-    out.sort()
-    return out
+    degrees = [(ks - e, lambda_ceil(e, spec.s, spec.l) - 1) for e in range(1, ks + 1)]
+    return _block_vectors(spec, degrees, budget)
 
 
 def _first_difference(gens, expected):
@@ -219,16 +209,18 @@ def verify_all(
     4. every socle-formula vector lies outside the polyhedron of I_k;
     5. J_1 is normal.
 
-    ``max_generators`` bounds F_k's enumeration (``DEFAULT_F_BUDGET`` when
-    None), the closure and the normality check's powers.
+    ``max_generators`` bounds the F_k and socle enumerations
+    (``DEFAULT_F_BUDGET`` when None), the closure and the normality
+    check's powers.
     """
     _require_budget(max_generators)
     alpha = spec.alpha_vector()
-    F = generators_F(spec, max_generators or DEFAULT_F_BUDGET)
+    budget = max_generators or DEFAULT_F_BUDGET
+    F = generators_F(spec, budget)
     J = MonomialIdeal._from_antichain(spec.dim, F)
     J1 = J if spec.k == 1 else ideal_J(replace(spec, k=1))
     closed = closure(ideal_I(spec), max_generators)
-    socle = socle_generators(spec)
+    socle = socle_generators(spec, budget)
     table = (
         ("generators_integral", "every J_k generator is inside NP(I_k)",
          next((g for g in J.generators if not pure_power_member(alpha, g)), None)),

@@ -241,6 +241,17 @@ def test_two_exp_max_gens_bounds_the_same_count_in_gens_and_verify(capsys):
         )
 
 
+def test_two_exp_gens_socle_honors_max_gens(capsys):
+    # the figure spec has 6 socle vectors
+    argv = ["two-exp", "gens", "-m", "1", "-n", "1", "-s", "2", "-l", "7", "-k", "3", "--socle"]
+    assert main(argv + ["--max-gens", "6"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--max-gens", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spec would enumerate 6 generators, over the budget 2\n"
+
+
 def test_two_exp_block_swap():
     out = invoke("two-exp", "gens", "-m", "1", "-n", "2", "-s", "5", "-l", "3", "--json")
     report = json.loads(out.stdout)

@@ -1,5 +1,6 @@
 """The two-exponent family: lambda arithmetic, generator sets, identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoclose.errors import GeneratorBudgetError
-from monoclose.ideals import MonomialIdeal, power
+from monoclose.ideals import MonomialIdeal, colon_by_maximal, power
 from monoclose.newton import closure, pure_power_member
 from monoclose.two_exponent import (
     TwoExponentSpec,
@@ -148,15 +149,14 @@ def test_socle_vectors_are_outside(spec):
 
 
 def test_socle_formula_matches_colon_route():
-    # the closed-form socle vectors all lie in (J : m) \ J
-    from monoclose.ideals import colon_by_maximal, contains_monomial
-
-    spec = figure_spec()
-    J = ideal_J(spec)
-    Q = colon_by_maximal(J)
-    for v in socle_generators(spec):
-        assert contains_monomial(Q, v)
-        assert not contains_monomial(J, v)
+    # the closed-form socle vectors are exactly the new generators of (J : m)
+    for m, n, (s, l), k in itertools.product(
+        (1, 2), (1, 2), ((1, 1), (2, 3), (2, 7), (3, 5)), (1, 2)
+    ):
+        spec = TwoExponentSpec(m, n, s, l, k)
+        J = ideal_J(spec)
+        new = set(colon_by_maximal(J).generators) - set(J.generators)
+        assert set(socle_generators(spec)) == new, spec
 
 
 def test_verify_all_passes_on_figure():
@@ -173,8 +173,21 @@ def test_verify_all_passes_on_figure():
 
 def test_budget_guard():
     spec = TwoExponentSpec(m=6, n=6, s=5, l=7, k=3)
-    with pytest.raises(GeneratorBudgetError):
+    with pytest.raises(GeneratorBudgetError, match="enumerate 31673523 generators"):
         generators_F(spec, budget=1000)
+    with pytest.raises(GeneratorBudgetError, match="enumerate 21255933 generators"):
+        socle_generators(spec, 1000)
+
+
+def test_budget_below_one_is_refused():
+    for enumerate_ in (generators_F, socle_generators):
+        with pytest.raises(ValueError, match="max_generators must be at least 1"):
+            enumerate_(figure_spec(), 0)
+
+
+def test_budget_none_is_no_cap():
+    assert generators_F(figure_spec(), None) == generators_F(figure_spec())
+    assert socle_generators(figure_spec(), None) == socle_generators(figure_spec())
 
 
 def test_verify_all_enumerates_f_under_max_generators():
