@@ -23,7 +23,7 @@ from math import lcm
 from . import kernels
 from .errors import DegenerateIdealError, GeneratorBudgetError
 from .ideals import MonomialIdeal, _check_vector
-from .simplex import max_weight_lp
+from .simplex import max_weight_lp, warm_lp
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -108,7 +108,10 @@ def _scan_member(gens, dim, threshold):
 
     Returns a callable v -> (True, None) or (False, separator), where the
     separator is integer-scaled as (nums, den): sum(nums * u) >= den for
-    every region point u and < den for the rejected v.
+    every region point u and < den for the rejected v.  Off a halfspace the
+    callable is one warm LP oracle for the whole scan: its verdicts are
+    exact, but which separator it returns depends on the points asked
+    before, so a scan that must be repeated needs a fresh callable.
     """
     profile = _halfspace_profile(gens, dim)
     if profile is not None:
@@ -126,11 +129,12 @@ def _scan_member(gens, dim, threshold):
 
         return member
 
+    query = warm_lp(gens, threshold)
+
     def member(v):
-        res = max_weight_lp(gens, v, threshold)
-        if res[0] == INSIDE:
+        sep_frac = query(v)
+        if sep_frac is None:
             return True, None
-        sep_frac = res[1]
         scale = lcm(*(c.denominator for c in sep_frac))
         nums = tuple(int(c * scale) for c in sep_frac)
         return False, (nums, threshold * scale)
