@@ -2,11 +2,20 @@
 
 An ideal is integrally closed when it equals its integral closure, and
 normal when every power is.  In n variables it suffices to check the first
-n-1 powers, which keeps everything finite.  For pure-power families
-closure((x_1^a1, ..., x_n^an)) a few shortcut criteria decide
-normality outright or shrink the exponents first; each fired shortcut is
-recorded so a report can be audited, and every shortcut has a direct-route
-cross-check in the test suite.
+n-1 powers (Reid, Roberts and Vitulli, Comm. Algebra 31 (2003)), which keeps
+everything finite.  ``is_normal`` decides any ideal by box-scanning each
+power against its Newton polyhedron.
+
+For pure-power families J = closure((x_1^a1, ..., x_n^an)) the question is
+one about the exponents and NP(J) alone.  With L = lcm(alpha) and
+N_i = L / a_i, J is the set {v : N.v >= L}.  If J^(k-1) is closed, v lies in
+J^k = J * J^(k-1) exactly when some integer b with 0 <= b <= v has
+L <= N.b <= N.v - (k-1)L (take b in J and v - b in J^(k-1)).  Checking
+k = 2, ..., n-1 in order keeps that premise true, so the direct route tests
+this on the lattice points of k*NP(J) and forms no power at all.  A few
+shortcut criteria decide normality outright or shrink the exponents first;
+each fired shortcut is recorded so a report can be audited, and every
+shortcut has a direct-route cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ from .newton import (
     _require_budget,
     _require_proper,
     _scan_member,
-    closure,
 )
 
 NORMAL = "normal"
@@ -35,6 +43,10 @@ COUNTEREXAMPLE_FOUND = "counterexample_found"
 # quasinormality_check holds bound + 1 bitmasks of bound * lcm(alpha) + 1
 # bits each; larger scans are refused before anything is allocated.
 QUASINORMAL_MAX_BITS = 2**31
+# The direct pure-power route walks bitsets of lcm(alpha) + max(N) + N_n
+# bits, one per variable and a few temporaries; wider ones are refused
+# before any is built.
+POWER_WALK_MAX_BITS = 2**24
 
 
 @dataclass(frozen=True)
@@ -132,14 +144,13 @@ def is_normal(I: MonomialIdeal, max_generators: int | None = None) -> NormalityR
     )
 
 
-def _check_powers(I, base_gens, max_generators, closed=False):
+def _check_powers(I, base_gens, max_generators):
     """Closedness of I^k for the powers to check, up to the first failure.
 
     ``base_gens`` span NP(I), so I^k is closed exactly when k * NP(base_gens)
     has no lattice point it misses; the scan runs in lex order and stops at
-    its first find, the lex-least witness.  ``closed``: I is known to be
-    integrally closed, so k = 1 needs no scan.  Each power is carried as
-    the pair sums of the previous one with I, as in ``ideals.power``: they
+    its first find, the lex-least witness.  Each power is carried as the
+    pair sums of the previous one with I, as in ``ideals.power``: they
     generate it without always being minimal, the scan takes them as they
     are, and they are the next power's operand.  ``max_generators`` bounds
     the minimal generator count of each power; a power is minimalized only
@@ -159,9 +170,6 @@ def _check_powers(I, base_gens, max_generators, closed=False):
                         f"power {k} has {len(seeds)} generators, "
                         f"over the budget {max_generators}"
                     )
-        elif closed:
-            checked.append((1, True))
-            continue
         missing = _missing_generators(seeds, base_gens, k, 1)
         checked.append((k, not missing))
         if missing:
@@ -229,7 +237,12 @@ def pure_power_normality(
     exceeding n-2; a divisibility chain (all but one entry in {s, l} with
     s | l dividing the remaining one); lcm-shift reduction of the largest
     entry, then retry.  Whatever is left is decided by the direct
-    first-n-1-powers route.
+    first-n-1-powers route, which walks the lattice points of k*NP(J) for
+    k = 2, ..., n-1 (see the module docstring and ``_first_outside_power``)
+    and reports the same powers and lex-least witness as ``is_normal`` on
+    J.  There ``max_generators`` bounds the minimal generators of each J^k
+    that the walk meets before its first failure; no closure, power or
+    pair sum is formed.
     """
     alpha = tuple(alpha)
     if not alpha or any(a < 1 for a in alpha):
@@ -248,12 +261,7 @@ def pure_power_normality(
 
     checked, witness = (), None
     if not settled:
-        # J = closure(diag) is closed, and diag spans NP(J) with fewer columns
-        diag = _diag_ideal(work)
-        checked, witness = _check_powers(
-            closure(diag, max_generators), diag.generators, max_generators,
-            closed=True,
-        )
+        checked, witness = _pure_power_powers(work, max_generators)
     return NormalityReport(
         subject=alpha,
         verdict=NORMAL if witness is None else NOT_NORMAL,
@@ -262,6 +270,114 @@ def pure_power_normality(
         shortcuts=tuple(fired),
         representative=work if work != alpha else None,
     )
+
+
+def _pure_power_powers(alpha, max_generators):
+    """The direct route for J = closure((x_i^alpha_i)): (k, closed?) and witness.
+
+    J is closed by construction, so k = 1 passes untested.  For k >= 2 with
+    J^(k-1) closed, ``_first_outside_power`` finds the lex-least lattice
+    point of k*NP(J) outside J^k.  That point is a minimal generator of
+    closure(J^k): a divisor of it in k*NP(J) would be a lex-smaller point
+    outside J^k.  So it is the witness a scan of each power would report.
+    """
+    checked = [(1, True)]
+    base = lcm(*alpha)
+    weights = [base // a for a in alpha]
+    for k in _powers_to_check(len(alpha))[1:]:
+        witness = _first_outside_power(weights, base, k, max_generators)
+        checked.append((k, witness is None))
+        if witness is not None:
+            return tuple(checked), witness
+    return tuple(checked), None
+
+
+def _first_outside_power(weights, base, k, max_generators):
+    """Lex-least lattice point of k*NP(J) outside J^k, or None; J^(k-1) closed.
+
+    J = {v : N.v >= L} with N = ``weights``, L = ``base``.  The walk runs
+    over the prefixes p (every coordinate but the last) in lex order; the
+    row of p holds one minimal point of k*NP(J) at most, v = (p, t) with t
+    the least last coordinate that reaches kL.  v is minimal when its
+    excess N.v - kL is below N_i for every i with v_i > 0, and a subtree of
+    prefixes whose own excess already reaches the least such N_i holds no
+    minimal point, which ends each loop.  v is in J^k exactly when some
+    b <= v has N.b in [L, L + excess].
+
+    The test reads the values N.b over b <= p off an int bitset per prefix
+    depth: raising p_d by one is one shift-OR by N_d.  Values at or above
+    L + max(N) never matter, since dropping a unit of b keeps such a value
+    at least L.  The last coordinate adds j = 0..t steps of N_n, so the row
+    asks whether the bitset meets a window [L - j N_n, L - j N_n + excess]
+    for some j <= t.  With t > 0 the excess is below N_n, so the windows
+    for all j are disjoint: one comb of their starts times a run of
+    excess + 1 ones, and those for j <= t are the ones at or above window
+    t's start; with t = 0 only the window j = 0 is read.  The bitsets hold
+    value u at bit u + N_n, so that a window that starts below 0 keeps its
+    nonnegative part.
+
+    ``max_generators`` bounds the minimal generators of J^k the walk meets,
+    the points that pass; with J^k closed that is all of them.
+    """
+    *head, last = weights
+    goal = k * base
+    bits = base + max(weights) + last
+    if bits > POWER_WALK_MAX_BITS:
+        raise GeneratorBudgetError(f"power walk needs {bits}-bit sets, over the cap")
+    mask = (1 << bits) - 1
+    # teeth at every multiple of N_n up to L + N_n, doubled into place
+    comb, teeth = 1, 1
+    while teeth * last <= base + last:
+        comb |= comb << (teeth * last)
+        teeth *= 2
+    comb &= (2 << (base + last)) - 1
+    inner = len(head) - 1
+    prefix = [0] * len(head)
+    passed = 0
+
+    def walk(d, total, reach, low):
+        # prefix[:d] is fixed with weighted sum ``total``, the values N.b
+        # over b <= it in ``reach`` and the least N_i over its support in
+        # ``low``; returns the witness in this subtree, or None
+        nonlocal passed
+        step = head[d]
+        x = 0
+        while True:
+            prefix[d] = x
+            if d < inner:
+                witness = walk(d + 1, total, reach, low)
+                if witness is not None:
+                    return witness
+            else:
+                rest = goal - total
+                t = -(-rest // last) if rest > 0 else 0
+                excess = t * last - rest
+                if excess < low:
+                    if t:
+                        # the comb times a run of excess + 1 ones
+                        hit = reach & ((comb << (excess + 1)) - comb)
+                        top = base + last - t * last
+                        inside = hit.bit_length() > top if top > 0 else hit
+                    else:
+                        inside = (reach >> (base + last)) & ((2 << excess) - 1)
+                    if not inside:
+                        return (*prefix, t)
+                    passed += 1
+                    if max_generators is not None and passed > max_generators:
+                        raise GeneratorBudgetError(
+                            f"power {k} has more than {max_generators} generators"
+                        )
+            x += 1
+            total += step
+            if step < low:
+                low = step
+            if total - low >= goal:
+                return None
+            reach = (reach | reach << step) & mask
+
+    # every row with an empty prefix support has t > 0, so its excess is
+    # below N_n <= max(N)
+    return walk(0, 0, 1 << last, max(weights))
 
 
 def _semigroup_bits(gens, limit):

@@ -435,3 +435,25 @@ def test_criterion_10_theorem_at_five_variables(capsys):
     announce(capsys, 10, ok, f"{checked} patterns at n = 5, all normal via direct route", elapsed)
     assert not failures, failures[:5]
     assert elapsed < 60
+
+
+def test_criterion_11_theorem_at_six_variables(capsys):
+    # the paper's theorem at n = 6: every alpha with both entries s < l <= 5
+    # is normal, decided by the direct route's walk over J^2..J^5
+    t0 = time.monotonic()
+    failures = []
+    checked = 0
+    for s in range(1, 6):
+        for l in range(s + 1, 6):
+            for count_l in range(1, 6):
+                alpha = (s,) * (6 - count_l) + (l,) * count_l
+                report = pure_power_normality(alpha, use_shortcuts=False)
+                checked += 1
+                if report.verdict != NORMAL or len(report.checked_powers) != 5:
+                    failures.append(alpha)
+    elapsed = time.monotonic() - t0
+    ok = not failures and elapsed < 60
+    announce(capsys, 11, ok, f"{checked} patterns at n = 6, all normal via direct route", elapsed)
+    assert not failures, failures[:5]
+    assert checked == 50
+    assert elapsed < 60

@@ -195,30 +195,44 @@ def test_oversized_box_scan_is_a_usage_error(capsys):
 
 
 def test_max_gens_bounds_the_powers_of_a_normality_check(capsys):
-    # J^2 of (5,6,7,8,9,11) has 11,811 generators (J has 874)
-    code = main(["is-normal", "--alpha", "5,6,7,8,9,11", "--direct", "--max-gens", "2000"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+    # the direct pure-power route forms no power: the budget bounds the
+    # minimal generators of each J^k that its walk meets, 2,420 at k = 2
+    # for this normal tuple, and more at k = 3
+    argv = ["is-normal", "--alpha", "4,4,5,5,5,5", "--direct", "--max-gens"]
+    for budget, k in (("2000", 2), ("2419", 2), ("2420", 3)):
+        assert main(argv + [budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: power {k} has more than {budget} generators\n"
 
 
 def test_max_gens_counts_the_minimal_generators_of_a_power(capsys):
     # J^2 of (3,4,4,5) has 141 minimal generators among the 143 sums that
-    # the direct route keeps unminimalized: a budget of 142 passes, 140 does not
+    # is_normal keeps unminimalized: a budget of 142 passes, 140 does not
     J = closure(normality._diag_ideal((3, 4, 4, 5))).generators
     sums = kernels.pair_sums_antichain(J, J)
     assert len(sums) == 143
     assert len(kernels.minimal_antichain(sums)) == 141
-    argv = ["is-normal", "--alpha", "3,4,4,5", "--direct"]
+    argv = ["is-normal", "-i", ";".join(",".join(map(str, g)) for g in J)]
     assert main(argv) == 1
     unbounded = capsys.readouterr().out
+    assert unbounded.endswith("witness: 2,0,3,3\n")
     assert main(argv + ["--max-gens", "142"]) == 1
     assert capsys.readouterr().out == unbounded
     assert main(argv + ["--max-gens", "140"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: power 2 has 141 generators, over the budget 140\n"
+
+
+def test_oversized_power_walk_is_a_usage_error(capsys):
+    # lcm(alpha) is about 1.06e15: the walk's bitsets are refused unbuilt
+    code = main(["is-normal", "--alpha", "997,1009,1013,1019,1021", "--direct"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: power walk needs 1062321098284965-bit sets, over the cap\n")
 
 
 def test_two_exp_verify():

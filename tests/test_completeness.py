@@ -9,9 +9,10 @@ containment and idempotence checks cannot.
 The scan itself is also compared with a plain lexicographic reference that
 records which points reach the oracle: the optimized scan must ask about
 exactly the same points, in the same order, and stop at its limit after the
-same find.  The normality routes, which scan unminimalized pair sums, are
-compared with scans of each power's minimal generators, and the sums they
-scan must generate each power exactly.
+same find.  ``is_normal``, which scans unminimalized pair sums, is compared
+with scans of each power's minimal generators, and the sums it scans must
+generate each power exactly; the pure-power route, which scans nothing, is
+compared with the same reference.
 """
 
 import itertools
@@ -410,15 +411,6 @@ def scanned_seeds(route, *args):
 # The scan box comes from the seeds, so seeds that miss a generator of the
 # power (an axis point, say) can shrink the box and hide a missing point
 # without changing any verdict; each power's seeds must generate it exactly.
-@settings(max_examples=50, deadline=None)
-@given(small_alpha())
-def test_pure_power_route_scans_seeds_that_generate_each_power(alpha):
-    J = closure(_diag_ideal(alpha))
-    for k, seeds in scanned_seeds(pure_power_normality, alpha, False).items():
-        want = power(J, k).generators
-        assert tuple(kernels.minimal_antichain(seeds)) == want == minimal_power(J, k)
-
-
 @settings(max_examples=50, deadline=None)
 @given(any_ideal_up_to_5)
 def test_is_normal_scans_seeds_that_generate_each_power(I):

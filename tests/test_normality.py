@@ -6,10 +6,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoclose import normality
+from monoclose.errors import GeneratorBudgetError
 from monoclose.ideals import MonomialIdeal, is_m_primary, power
 from monoclose.newton import closure
 from monoclose.normality import (
@@ -141,8 +142,8 @@ def test_normal_ideal_has_closed_small_powers(alpha):
 
 
 def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
-    # J = closure(diag) is closed by construction, so the pure-power route
-    # scans only k >= 2; is_normal knows nothing of J and still scans k = 1
+    # the pure-power route decides J = closure(diag) from the exponents and
+    # scans nothing; is_normal knows nothing of J and scans every power
     real = normality._missing_generators
     thresholds = []
 
@@ -157,8 +158,7 @@ def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
     for alpha in grid:
         thresholds.clear()
         report = pure_power_normality(alpha, use_shortcuts=False)
-        assert thresholds == [k for k, _ in report.checked_powers if k > 1]
-        thresholds.clear()
+        assert thresholds == []
         diag = normality._diag_ideal(alpha)
         direct = is_normal(closure(diag))
         assert thresholds == [k for k, _ in direct.checked_powers]
@@ -166,6 +166,51 @@ def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
                 report.shortcuts, report.representative) == (
             direct.verdict, direct.checked_powers, direct.failing_witness,
             direct.shortcuts, direct.representative)
+
+
+@st.composite
+def pure_power_alpha(draw):
+    # block-constant tuples too: a few values, each repeated
+    n = draw(st.integers(1, 5))
+    top = (9, 9, 7, 5, 4)[n - 1]
+    if draw(st.booleans()):
+        return tuple(draw(st.integers(1, top)) for _ in range(n))
+    values = draw(st.lists(st.integers(1, top), min_size=1, max_size=2))
+    return tuple(sorted(draw(st.sampled_from(values)) for _ in range(n)))
+
+
+@given(pure_power_alpha())
+@settings(max_examples=80, deadline=None)
+@example((4, 5, 7))
+@example((3, 4, 4, 5))
+@example((7, 8, 9, 10, 11))
+@example((5, 6, 7, 8, 9, 11))
+def test_pure_power_route_matches_is_normal_on_the_closure(alpha):
+    report = pure_power_normality(alpha, use_shortcuts=False)
+    direct = is_normal(closure(normality._diag_ideal(alpha)))
+    assert (report.checked_powers, report.failing_witness) == (
+        direct.checked_powers, direct.failing_witness)
+
+
+def test_pure_power_budget_bounds_the_generators_of_each_power():
+    # with every power closed, the budget is the largest generator count of
+    # J^2 .. J^(n-1); a non-normal tuple counts the generators met before
+    # its witness (114 of J^2 for this one).  Descending tuples have a
+    # prefix weight below the last one, where a row's least point can
+    # still be non-minimal.
+    for alpha in ((2, 3, 3, 5), (5, 3, 3, 2), (3, 3, 4, 4, 4), (4, 4, 4, 3, 3)):
+        J = closure(normality._diag_ideal(alpha))
+        sizes = [len(power(J, k).generators) for k in range(2, len(alpha))]
+        top = max(sizes)
+        assert pure_power_normality(alpha, False, top).verdict == NORMAL
+        k = 2 + next(i for i, m in enumerate(sizes) if m == top)
+        with pytest.raises(GeneratorBudgetError,
+                           match=f"^power {k} has more than {top - 1} generators$"):
+            pure_power_normality(alpha, False, top - 1)
+    alpha = (5, 6, 7, 8, 9, 11)
+    assert pure_power_normality(alpha, False, 114).failing_witness == (0, 0, 0, 7, 2, 10)
+    with pytest.raises(GeneratorBudgetError, match="^power 2 has more than 113"):
+        pure_power_normality(alpha, False, 113)
 
 
 def test_shortcut_routing():
