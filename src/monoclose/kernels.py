@@ -274,10 +274,9 @@ def box_closure_scan(bounds, seeds, member, limit=None):
     functional ``(nums, den)`` proving ``sum(nums*u) < den`` for u = v and
     ``>= den`` for every point of the region (so ``nums >= 0``, the region
     being up-closed).  Separators are cached and reused so the oracle is
-    only consulted when no cached separator excludes the point.  The oracle
-    may keep state between calls, so that its separators depend on the
-    points asked before; the finds do not depend on which separators it
-    returns, only on its exact verdicts.
+    only consulted when no cached separator excludes the point.  The finds
+    do not depend on which separators the oracle returns, only on its exact
+    verdicts.
     ``limit``: optional positive number of finds after which the scan
     stops, asking the oracle nothing further; None scans the whole box.
 

@@ -12,21 +12,28 @@ Scaling gives powers for free: NP(I^k) = k NP(I), so membership in NP(I^k)
 is the same LP with threshold k over the base generators, and an outside
 separator for the base scales down by k.  Pure-power ideals skip the LP
 entirely: their polyhedron is the single halfspace sum(v_i/alpha_i) >= 1.
+Box scans test each point against the facets of NP(I), found once per ideal
+by double description, and ask the LP only about the points inside them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import gcd, lcm
+from operator import mul
 
 from . import kernels
 from .errors import DegenerateIdealError, GeneratorBudgetError
 from .ideals import MonomialIdeal, _check_vector
-from .simplex import max_weight_lp, warm_lp
+from .simplex import max_weight_lp
 
 INSIDE = "inside"
 OUTSIDE = "outside"
+
+# Most rays ``_facets`` holds before it stops with a partial facet list.
+DD_MAX_RAYS = 5000
 
 
 @dataclass(frozen=True)
@@ -103,43 +110,99 @@ def _halfspace_profile(gens, dim):
     return nums, base, corner
 
 
-def _scan_member(gens, dim, threshold):
-    """Membership callback for box scans over NP(I) scaled by ``threshold``.
+def _facets(gens, dim):
+    """Facets of NP(gens) off the coordinate planes, as integer (nums, den).
 
-    Returns a callable v -> (True, None) or (False, separator), where the
-    separator is integer-scaled as (nums, den): sum(nums * u) >= den for
-    every region point u and < den for the rejected v.  Off a halfspace the
-    callable is one warm LP oracle for the whole scan: its verdicts are
-    exact, but which separator it returns depends on the points asked
-    before, so a scan that must be repeated needs a fresh callable.
+    They are the vertices y = nums / den of the blocker Q = {y >= 0 :
+    y . a_j >= 1} (Fulkerson, "Blocking polyhedra", 1970), so a point v >= 0
+    lies in k NP(gens) exactly when nums . v >= k den for each of them.
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996) of the
+    cone {(y, t) >= 0 : a_j . y >= t}: start from its n + 1 unit rays and
+    cut by one generator at a time, fewest nonzero coordinates first, then
+    by degree, joining each positive/negative pair of rays that no third
+    ray's tight set covers.  Rays stay gcd-reduced integers; a tight set is
+    a bitmask with bit i for the i-th coordinate of (y, t) and bit n + 1 + s
+    for the generator cut at step s.  Past ``DD_MAX_RAYS`` rays it stops early; the list is
+    then partial, and the scan oracle's LP decides what it misses.  Only
+    rays with t > 0 and a_j . y >= t for every generator are returned,
+    sorted.
+    """
+    d = dim + 1
+    rays = [(tuple(int(i == k) for i in range(d)), ((1 << d) - 1) ^ (1 << k))
+            for k in range(d)]
+    order = sorted(gens, key=lambda g: (len(g) - g.count(0), sum(g)))
+    for step, a in enumerate(order):
+        bit = 1 << (d + step)
+        plus, minus, cut = [], [], []
+        for r, z in rays:
+            s = sum(map(mul, a, r)) - r[dim]
+            if s > 0:
+                plus.append((s, r, z))
+                cut.append((r, z))
+            elif s < 0:
+                minus.append((s, r, z))
+            else:
+                cut.append((r, z | bit))
+        for (sp, p, zp), (sq, q, zq) in product(plus, minus):
+            if len(cut) > DD_MAX_RAYS:
+                break
+            common = zp & zq
+            if common.bit_count() < d - 2 or any(
+                z & common == common and z != zp and z != zq for _, z in rays
+            ):
+                continue
+            r = [sp * x - sq * y for x, y in zip(q, p)]
+            g = gcd(*r)
+            cut.append((tuple(x // g for x in r), common | bit))
+        rays = cut
+        if len(rays) > DD_MAX_RAYS:
+            break
+    return sorted(
+        (r[:dim], r[dim])
+        for r, _ in rays
+        if r[dim] > 0 and min(r) >= 0 and all(sum(map(mul, a, r)) >= r[dim] for a in gens)
+    )
+
+
+def _scan_oracle(gens, dim):
+    """Membership callbacks for box scans over NP(gens) scaled by a threshold.
+
+    Finds NP(gens)'s facets once and returns threshold -> member.  member(v)
+    is (True, None) or (False, separator), the separator integer-scaled as
+    (nums, den): sum(nums * u) >= den for every region point u and < den for
+    the rejected v.  The facets decide every point outside them, returning
+    the most violated one (least nums . v / den).  Every other point goes to
+    one cold ``max_weight_lp`` call, which answers "inside" unless
+    ``_facets`` stopped early; a halfspace profile is its own single,
+    complete facet and needs no LP.  The member keeps no state, so its
+    answers do not depend on the points asked before.
     """
     profile = _halfspace_profile(gens, dim)
-    if profile is not None:
-        nums, base, _ = profile
-        den = threshold * base
-        sep = (nums, den)
+    complete = profile is not None
+    facets = [profile[:2]] if complete else _facets(gens, dim)
+
+    def at(threshold):
+        scaled = [(nums, threshold * den) for nums, den in facets]
 
         def member(v):
-            acc = 0
-            for c, x in zip(nums, v):
-                acc += c * x
-            if acc >= den:
+            sep = None
+            for f in scaled:
+                acc = sum(map(mul, f[0], v))
+                if acc < f[1] and (sep is None or acc * sep[1] < low * f[1]):
+                    sep, low = f, acc
+            if sep is not None:
+                return False, sep
+            if complete:
                 return True, None
-            return False, sep
+            res = max_weight_lp(gens, v, threshold)
+            if res[0] == INSIDE:
+                return True, None
+            scale = lcm(*(c.denominator for c in res[1]))
+            return False, (tuple(int(c * scale) for c in res[1]), threshold * scale)
 
         return member
 
-    query = warm_lp(gens, threshold)
-
-    def member(v):
-        sep_frac = query(v)
-        if sep_frac is None:
-            return True, None
-        scale = lcm(*(c.denominator for c in sep_frac))
-        nums = tuple(int(c * scale) for c in sep_frac)
-        return False, (nums, threshold * scale)
-
-    return member
+    return at
 
 
 def np_member(I: MonomialIdeal, v) -> MembershipVerdict:
@@ -183,17 +246,17 @@ def pure_power_member(alpha, v) -> bool:
     return sum((base // a) * x for a, x in zip(alpha, v)) >= base
 
 
-def _missing_generators(seeds, base_gens, threshold, limit=None):
-    """Minimal generators of ``threshold * NP(base_gens)`` that no seed divides.
+def _missing_generators(seeds, oracle, threshold, limit=None):
+    """Minimal generators of a scaled Newton polyhedron that no seed divides.
 
-    ``seeds`` generate an ideal K, minimally or not, and base_gens span
-    NP(K) scaled down by threshold.  A lex-sorted list, empty exactly when
+    ``oracle`` is a ``_scan_oracle`` whose polyhedron, scaled by
+    ``threshold``, is NP(K) for the ideal K that ``seeds`` generate,
+    minimally or not.  A lex-sorted list, empty exactly when
     K is integrally closed; with ``limit``, only the ``limit`` lex-least
     ones.  Scans the box of the seeds, seeded with them.
     """
     bounds = tuple(map(max, zip(*seeds)))
-    member = _scan_member(base_gens, len(bounds), threshold)
-    return kernels.box_closure_scan(bounds, seeds, member, limit)
+    return kernels.box_closure_scan(bounds, seeds, oracle(threshold), limit)
 
 
 def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdeal:
@@ -208,7 +271,8 @@ def closure(I: MonomialIdeal, max_generators: int | None = None) -> MonomialIdea
     _require_proper(I, "integral closure")
     _require_budget(max_generators)
     limit = None if max_generators is None else max_generators + 1
-    found = _missing_generators(I.generators, I.generators, 1, limit)
+    oracle = _scan_oracle(I.generators, I.dim)
+    found = _missing_generators(I.generators, oracle, 1, limit)
     if len(found) == limit:
         raise GeneratorBudgetError(f"more than {limit - 1} new generators in box scan")
     keep = kernels._undominated(found, I.generators, 0)

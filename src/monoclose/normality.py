@@ -31,7 +31,7 @@ from .newton import (
     _missing_generators,
     _require_budget,
     _require_proper,
-    _scan_member,
+    _scan_oracle,
 )
 
 NORMAL = "normal"
@@ -101,7 +101,8 @@ def is_integrally_closed(I: MonomialIdeal):
     not in I.
     """
     _require_proper(I, "integral closedness")
-    missing = _missing_generators(I.generators, I.generators, 1, 1)
+    oracle = _scan_oracle(I.generators, I.dim)
+    missing = _missing_generators(I.generators, oracle, 1, 1)
     return (False, missing[0]) if missing else (True, None)
 
 
@@ -115,7 +116,7 @@ def socle_criterion_check(I: MonomialIdeal) -> bool:
     if not is_m_primary(I):
         raise ValueError("socle criterion requires an m-primary ideal")
     own = set(I.generators)
-    member = _scan_member(I.generators, I.dim, 1)
+    member = _scan_oracle(I.generators, I.dim)(1)
     for v in colon_by_maximal(I).generators:
         if v in own:
             continue
@@ -134,7 +135,7 @@ def is_normal(I: MonomialIdeal, max_generators: int | None = None) -> NormalityR
     """Direct normality decision: the first n-1 powers must be closed."""
     _require_proper(I, "normality")
     _require_budget(max_generators)
-    checked, witness = _check_powers(I, I.generators, max_generators)
+    checked, witness = _check_powers(I, max_generators)
     return NormalityReport(
         subject=I,
         verdict=NORMAL if witness is None else NOT_NORMAL,
@@ -144,22 +145,23 @@ def is_normal(I: MonomialIdeal, max_generators: int | None = None) -> NormalityR
     )
 
 
-def _check_powers(I, base_gens, max_generators):
+def _check_powers(I, max_generators):
     """Closedness of I^k for the powers to check, up to the first failure.
 
-    ``base_gens`` span NP(I), so I^k is closed exactly when k * NP(base_gens)
-    has no lattice point it misses; the scan runs in lex order and stops at
-    its first find, the lex-least witness.  Each power is carried as the
-    pair sums of the previous one with I, as in ``ideals.power``: they
-    generate it without always being minimal, the scan takes them as they
-    are, and they are the next power's operand.  ``max_generators`` bounds
-    the minimal generator count of each power; a power is minimalized only
-    when it has more sums than that.
+    I^k is closed exactly when k * NP(I) has no lattice point it misses; the
+    scan runs in lex order and stops at its first find, the lex-least
+    witness, and every power's scan tests the same facets of NP(I).  Each
+    power is carried as the pair sums of the previous one with I, as in
+    ``ideals.power``: they generate it without always being minimal, the
+    scan takes them as they are, and they are the next power's operand.
+    ``max_generators`` bounds the minimal generator count of each power; a
+    power is minimalized only when it has more sums than that.
     Returns the (k, closed?) pairs and the witness, or None when every power
     checked is closed.
     """
     checked = []
     seeds = I.generators
+    oracle = _scan_oracle(I.generators, I.dim)
     for k in _powers_to_check(I.dim):
         if k > 1:
             seeds = kernels.pair_sums_antichain(seeds, I.generators)
@@ -170,7 +172,7 @@ def _check_powers(I, base_gens, max_generators):
                         f"power {k} has {len(seeds)} generators, "
                         f"over the budget {max_generators}"
                     )
-        missing = _missing_generators(seeds, base_gens, k, 1)
+        missing = _missing_generators(seeds, oracle, k, 1)
         checked.append((k, not missing))
         if missing:
             return tuple(checked), missing[0]

@@ -8,6 +8,7 @@ are binding: exact witnesses, exhaustive grids, oracle equivalence.
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -457,3 +458,45 @@ def test_criterion_11_theorem_at_six_variables(capsys):
     assert not failures, failures[:5]
     assert checked == 50
     assert elapsed < 60
+
+
+def test_criterion_12_shortcut_soundness_at_four_variables(capsys):
+    # every sorted 4-tuple with entries up to 12: the shortcut route, the
+    # lcm-shift representative and the reversed tuple (the direct route's
+    # walk differs most on descending tuples) all reach the direct verdict
+    t0 = time.monotonic()
+    failures = []
+    counts = Counter()
+    for alpha in itertools.combinations_with_replacement(range(1, 13), 4):
+        direct = pure_power_normality(alpha, use_shortcuts=False)
+        short = pure_power_normality(alpha)
+        counts.update(short.shortcuts)
+        if short.verdict != direct.verdict:
+            failures.append(("shortcut", alpha))
+        if short.representative is not None:
+            rep = pure_power_normality(short.representative, use_shortcuts=False)
+            if rep.verdict != direct.verdict:
+                failures.append(("lcm_shift", alpha))
+        if pure_power_normality(alpha[::-1], use_shortcuts=False).verdict != direct.verdict:
+            failures.append(("permutation", alpha))
+        if direct.verdict != NORMAL:
+            counts["not_normal"] += 1
+            counts[f"fails_at_{direct.failing_power}"] += 1
+        elif short.shortcuts[-1] == "none":
+            counts["normal_by_direct_route"] += 1
+    elapsed = time.monotonic() - t0
+    ok = not failures
+    announce(
+        capsys,
+        12,
+        ok,
+        f"1365 exponent 4-tuples ({counts['not_normal']} not normal, "
+        f"{counts['lcm_shift']} shift reductions)",
+        elapsed,
+    )
+    assert not failures, failures[:5]
+    assert counts["not_normal"] == counts["fails_at_2"] == 289
+    settled = {k: counts[k] for k in ("two_exponent", "divisibility_chain", "gcd")}
+    assert settled == {"two_exponent": 210, "divisibility_chain": 30, "gcd": 16}
+    assert counts["lcm_shift"] == 43
+    assert counts["normal_by_direct_route"] == 820

@@ -22,10 +22,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from monoclose import kernels, normality
+from monoclose import kernels, newton, normality
 from monoclose.errors import GeneratorBudgetError
 from monoclose.ideals import MonomialIdeal, minimalize, power
-from monoclose.newton import _missing_generators, _scan_member, closure, np_member
+from monoclose.newton import _missing_generators, _scan_oracle, closure, np_member
 from monoclose.normality import (
     NORMAL,
     _diag_ideal,
@@ -86,12 +86,11 @@ def logged(member, log):
 
 
 def scan_oracle(I, k):
-    """A maker of fresh scan oracles for k NP(I), one for each scan.
+    """The scan oracle for k NP(I).
 
-    The LP oracle's separators depend on the points it was asked before, so
-    two scans compared point by point must each start from a new one.
+    It keeps no state, so two scans compared point by point can share it.
     """
-    return lambda: _scan_member(I.generators, I.dim, k)
+    return _scan_oracle(I.generators, I.dim)(k)
 
 
 @st.composite
@@ -127,20 +126,21 @@ def small_power(I, k):
     return K
 
 
-# a general ideal: the LP oracle returns its separators in the middle of
-# the walk, after the prefix has moved on from where the first one arrived
+# a general ideal: the oracle returns its four facets as separators in the
+# middle of the walk, after the prefix has moved on from where the first
+# one arrived
 LP_MID_WALK = MonomialIdeal(3, ((0, 1, 3), (1, 3, 0), (2, 0, 1)))
-# four variables, LP oracle: some separators exclude whole prefixes of
-# rows, which the walk enters all the same
+# four variables, no halfspace: some facets exclude whole prefixes of rows,
+# which the walk enters all the same
 CYCLIC_4 = MonomialIdeal(4, ((4, 1, 0, 0), (0, 4, 1, 0), (0, 0, 4, 1), (1, 0, 0, 4)))
-# closed, so the normality routes scan its square with the warm LP oracle
+# closed, so the normality routes scan its square with the facet oracle
 # at threshold 2, where they find 1,1,4,4
 CYCLIC_4_CLOSURE = closure(CYCLIC_4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(any_ideal, st.integers(1, 3))
-# the warm LP oracle on a general ideal's square
+# the facet oracle on a general ideal's square
 @example(LP_MID_WALK, 2)
 def test_closure_routes_match_brute_force(I, k):
     K = small_power(I, k)
@@ -198,10 +198,10 @@ def test_box_scan_matches_brute_force_with_and_without_seeds(I, k):
     K = small_power(I, k)
     expected = brute_closure(K)
     bounds = generator_box(K.generators)
-    bare = kernels.box_closure_scan(bounds, [], _scan_member(I.generators, I.dim, k))
+    bare = kernels.box_closure_scan(bounds, [], scan_oracle(I, k))
     assert bare == expected
     seeded = kernels.box_closure_scan(
-        bounds, K.generators, _scan_member(I.generators, I.dim, k)
+        bounds, K.generators, scan_oracle(I, k)
     )
     seeds = set(K.generators)
     assert seeded == [g for g in expected if g not in seeds]
@@ -217,20 +217,20 @@ def test_box_scan_asks_the_oracle_about_the_reference_points(I, k, seeded):
     K = small_power(I, k)
     bounds = generator_box(K.generators)
     seeds = list(K.generators) if seeded else []
-    fresh = scan_oracle(I, k)
+    member = scan_oracle(I, k)
     want_log, got_log = [], []
-    want = reference_scan(bounds, seeds, fresh(), log=want_log)
-    got = kernels.box_closure_scan(bounds, seeds, logged(fresh(), got_log))
+    want = reference_scan(bounds, seeds, member, log=want_log)
+    got = kernels.box_closure_scan(bounds, seeds, logged(member, got_log))
     assert got == sorted(want)
     assert got_log == want_log
 
 
-def check_limit(bounds, seeds, fresh, limit):
+def check_limit(bounds, seeds, member, limit):
     """The scan and the reference stop after the same find, asking the same."""
-    full = reference_scan(bounds, seeds, fresh())
+    full = reference_scan(bounds, seeds, member)
     want_log, got_log = [], []
-    want = reference_scan(bounds, seeds, fresh(), limit, log=want_log)
-    got = kernels.box_closure_scan(bounds, seeds, logged(fresh(), got_log), limit)
+    want = reference_scan(bounds, seeds, member, limit, log=want_log)
+    got = kernels.box_closure_scan(bounds, seeds, logged(member, got_log), limit)
     assert got == want == full[:limit]
     assert got_log == want_log
     if want:  # it asked nothing after the last find
@@ -246,9 +246,8 @@ def test_box_scan_stops_at_its_first_find_when_the_oracle_says_so(I, k, seeded):
     K = small_power(I, k)
     bounds = generator_box(K.generators)
     seeds = list(K.generators) if seeded else []
-    fresh = scan_oracle(I, k)
-    check_limit(bounds, seeds, fresh, 1)
-    member = fresh()
+    member = scan_oracle(I, k)
+    check_limit(bounds, seeds, member, 1)
     assert all(member(v) == (True, None) for v in reference_scan(bounds, seeds, member))
 
 
@@ -260,11 +259,11 @@ def test_box_scan_budget_trips_at_the_reference_count(I, k, seeded):
     K = small_power(I, k)
     bounds = generator_box(K.generators)
     seeds = list(K.generators) if seeded else []
-    fresh = scan_oracle(I, k)
-    total = len(reference_scan(bounds, seeds, fresh()))
+    member = scan_oracle(I, k)
+    total = len(reference_scan(bounds, seeds, member))
     assume(total >= 1)
     for limit in sorted({max(total - 1, 1), total}):
-        check_limit(bounds, seeds, fresh, limit)
+        check_limit(bounds, seeds, member, limit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,15 +273,15 @@ def test_box_scan_takes_any_generating_set_as_seeds(I, k, rng):
     # the oracle about the same points as the minimal generators
     K = small_power(I, k)
     bounds = generator_box(K.generators)
-    fresh = scan_oracle(I, k)
+    member = scan_oracle(I, k)
     seeds = list(K.generators)
     for g in K.generators:
         i = rng.randrange(I.dim)
         seeds += [g, g[:i] + (g[i] + rng.randint(0, 2),) + g[i + 1:]]
     rng.shuffle(seeds)
     want_log, got_log = [], []
-    want = kernels.box_closure_scan(bounds, K.generators, logged(fresh(), want_log))
-    assert kernels.box_closure_scan(bounds, seeds, logged(fresh(), got_log)) == want
+    want = kernels.box_closure_scan(bounds, K.generators, logged(member, want_log))
+    assert kernels.box_closure_scan(bounds, seeds, logged(member, got_log)) == want
     assert got_log == want_log
 
 
@@ -293,7 +292,7 @@ def test_box_scan_takes_any_generating_set_as_seeds(I, k, rng):
 def test_closure_budget_trips_one_find_past_it(I):
     # closure stops its scan one find past max_generators and raises there
     small_power(I, 1)
-    f = len(_missing_generators(I.generators, I.generators, 1))
+    f = len(_missing_generators(I.generators, _scan_oracle(I.generators, I.dim), 1))
     if f >= 2:  # a budget below 1 is refused before any scan
         message = f"^more than {f - 1} new generators in box scan$"
         with pytest.raises(GeneratorBudgetError, match=message):
@@ -348,7 +347,7 @@ def reference_check_powers(I, base_gens, closed=False):
             checked.append((1, True))
             continue
         K = minimal_power(I, k)
-        member = _scan_member(base_gens, I.dim, k)
+        member = _scan_oracle(base_gens, I.dim)(k)
         missing = kernels.box_closure_scan(generator_box(K), K, member)
         checked.append((k, not missing))
         if missing:
@@ -358,7 +357,7 @@ def reference_check_powers(I, base_gens, closed=False):
 
 @settings(max_examples=50, deadline=None)
 @given(any_ideal_up_to_5)
-# closed ideals, whose square the routes scan with the warm LP oracle at
+# closed ideals, whose square the routes scan with the facet oracle at
 # threshold 2: LP_MID_WALK's closure is normal, CYCLIC_4's is not
 @example(closure(LP_MID_WALK))
 @example(CYCLIC_4_CLOSURE)
@@ -374,6 +373,38 @@ def test_is_normal_matches_a_scan_of_minimal_powers(I):
     report = is_normal(I)
     want = reference_check_powers(I, I.generators)
     assert (report.checked_powers, report.failing_witness) == want
+
+
+def test_is_normal_finds_the_facets_once(monkeypatch):
+    # the edge ideal of the 4-cycle is normal and no halfspace, so all three
+    # powers are scanned, each against the same facet list
+    calls = []
+    real = newton._facets
+
+    def spy(gens, dim):
+        calls.append(gens)
+        return real(gens, dim)
+
+    monkeypatch.setattr(newton, "_facets", spy)
+    I = MonomialIdeal(4, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)))
+    assert is_normal(I).checked_powers == ((1, True), (2, True), (3, True))
+    assert calls == [I.generators]
+
+
+@pytest.mark.parametrize(
+    "I, cap",
+    [(LP_MID_WALK, 4), (LP_MID_WALK, 5), (CYCLIC_4, 5), (CYCLIC_4, 9)],
+    ids=["lp-mid-walk-none", "lp-mid-walk-some", "cyclic-4-none", "cyclic-4-some"],
+)
+def test_closure_from_a_capped_facet_list_matches_brute_force(I, cap, monkeypatch):
+    # DD stops with none or only some of the facets; the LP decides every
+    # point they pass, and its "outside" separators join the scan's cache
+    full = newton._facets(I.generators, I.dim)
+    normal = is_normal(closure(I))
+    monkeypatch.setattr(newton, "DD_MAX_RAYS", cap)
+    assert len(newton._facets(I.generators, I.dim)) < len(full)
+    assert list(closure(I).generators) == brute_closure(I)
+    assert is_normal(closure(I)) == normal
 
 
 @st.composite

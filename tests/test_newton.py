@@ -3,16 +3,19 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoclose.errors import DegenerateIdealError
 from monoclose.ideals import MonomialIdeal, contains_monomial
 from monoclose.newton import (
+    _facets,
     _halfspace_profile,
     _missing_generators,
+    _scan_oracle,
     closure,
     dependence_witness,
     np_member,
@@ -20,6 +23,8 @@ from monoclose.newton import (
     validate_certificate,
 )
 from monoclose.simplex import max_weight_lp
+from test_acceptance import _solve_square
+from test_completeness import CYCLIC_4, LP_MID_WALK
 
 
 @st.composite
@@ -142,7 +147,8 @@ def test_closure_drops_only_the_generators_a_find_divides():
     # NP is x + y >= 4: the scan finds (1,3), (2,2), (3,1), and (2,2)
     # divides the generator (3,3), which leaves; (4,0) and (0,4) stay
     I = MonomialIdeal(2, ((4, 0), (0, 4), (3, 3)))
-    assert _missing_generators(I.generators, I.generators, 1) == [(1, 3), (2, 2), (3, 1)]
+    oracle = _scan_oracle(I.generators, I.dim)
+    assert _missing_generators(I.generators, oracle, 1) == [(1, 3), (2, 2), (3, 1)]
     assert closure(I).generators == ((0, 4), (1, 3), (2, 2), (3, 1), (4, 0))
 
 
@@ -224,3 +230,76 @@ def test_closure_unit_dimension_one():
     assert closure(I) == I
     assert np_member(I, (5,)).is_inside
     assert not np_member(I, (4,)).is_inside
+
+
+def brute_facets(gens, dim):
+    """Vertices of Q = {y >= 0 : y . a_j >= 1} as reduced (nums, den).
+
+    Every dim-subset of Q's constraints is made tight and solved; the
+    feasible solutions are the vertices.
+    """
+    units = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    constraints = [(u, 0) for u in units] + [(a, 1) for a in gens]
+    found = set()
+    for subset in itertools.combinations(constraints, dim):
+        rows = [[Fraction(x) for x in r] for r, _ in subset]
+        y = _solve_square(rows, [Fraction(b) for _, b in subset])
+        if y is None or any(c < 0 for c in y):
+            continue
+        if all(sum(c * x for c, x in zip(y, a)) >= 1 for a in gens):
+            den = math.lcm(*(c.denominator for c in y))
+            found.add((tuple(int(c * den) for c in y), den))
+    return sorted(found)
+
+
+@given(proper_ideal(max_dim=4, max_coord=6, max_gens=6))
+@settings(max_examples=150, deadline=None)
+# two rays whose common tight set passes the count test without their
+# being adjacent: joining them would add a ray that is no vertex of Q
+@example(MonomialIdeal(5, ((0, 1, 2, 3, 2), (0, 3, 2, 3, 0), (1, 2, 4, 0, 4), (2, 2, 1, 2, 2))))
+def test_facets_match_a_brute_force_vertex_enumeration(I):
+    assert _facets(I.generators, I.dim) == brute_facets(I.generators, I.dim)
+
+
+@given(proper_ideal(max_dim=5, max_coord=5, max_gens=6))
+@settings(max_examples=60, deadline=None)
+def test_facets_are_valid_and_shared_with_the_closure(I):
+    facets = _facets(I.generators, I.dim)
+    assert facets
+    for nums, den in facets:
+        assert den > 0 and min(nums) >= 0
+        assert math.gcd(*nums, den) == 1
+        for a in I.generators:
+            assert sum(map(mul, nums, a)) >= den
+    C = closure(I)
+    assert _facets(C.generators, C.dim) == facets
+
+
+@st.composite
+def ideal_and_points(draw):
+    I = draw(proper_ideal())
+    vec = st.tuples(*[st.integers(0, 14)] * I.dim)
+    return I, draw(st.lists(vec, min_size=1, max_size=8)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_and_points())
+@example((LP_MID_WALK, [(1, 2, 2), (1, 1, 1), (2, 3, 2), (0, 2, 6)], 2))
+@example((CYCLIC_4, [(0, 2, 3, 1), (1, 1, 4, 4), (2, 2, 2, 2), (1, 1, 1, 1)], 1))
+@example((CYCLIC_4, [(0, 2, 3, 1), (1, 1, 4, 4), (2, 2, 2, 2), (1, 1, 1, 1)], 2))
+def test_scan_oracle_decides_as_max_weight_lp(case):
+    # the facets decide each point outside them, with the most violated one
+    # as a valid separator; the oracle keeps no state, so the order of the
+    # points does not matter
+    I, points, k = case
+    member = _scan_oracle(I.generators, I.dim)(k)
+    answers = [member(v) for v in points]
+    for v, (inside, sep) in zip(points, answers):
+        assert inside == (max_weight_lp(I.generators, v, k)[0] == "inside")
+        if not inside:
+            nums, den = sep
+            assert min(nums) >= 0 and sum(map(mul, nums, v)) < den
+            assert all(k * sum(map(mul, nums, a)) >= den for a in I.generators)
+            least = min(Fraction(sum(map(mul, n, v)), d) for n, d in _facets(I.generators, I.dim))
+            assert Fraction(k * sum(map(mul, nums, v)), den) == least
+    assert [member(v) for v in reversed(points)] == answers[::-1]

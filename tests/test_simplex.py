@@ -5,10 +5,7 @@ be nonnegative and sum to the threshold while staying under the target
 componentwise; an "outside" answer carries a separating functional y with
 y >= 0, y . a_j >= 1 for every column and y . target equal to the optimum,
 which is below the threshold.  By weak duality either certificate is a
-complete proof, so the property tests just re-check the arithmetic.  The
-warm oracle, which answers a stream of targets over the same columns, must
-reach max_weight_lp's decision on every one of them, with a separator that
-passes the same checks.
+complete proof, so the property tests just re-check the arithmetic.
 """
 
 from fractions import Fraction
@@ -16,7 +13,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monoclose.simplex import max_weight_lp, warm_lp
+from monoclose.simplex import max_weight_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -255,57 +252,3 @@ def test_matches_the_reference_solver(case):
     # same decision, weights, separator and optimum, Fraction for Fraction
     assert max_weight_lp(*case) == reference_max_weight_lp(*case)
 
-
-def check_separator(columns, target, threshold, separator):
-    for y in separator:
-        assert y >= 0
-    for col in columns:
-        assert sum(y * c for y, c in zip(separator, col)) >= 1
-    assert sum(y * t for y, t in zip(separator, target)) < threshold
-
-
-@st.composite
-def warm_case(draw):
-    columns, target, threshold = draw(lp_case())
-    dim = len(target)
-    more = st.tuples(*[st.integers(0, 15)] * dim)
-    return columns, [target] + draw(st.lists(more, max_size=7)), threshold
-
-
-@settings(max_examples=300)
-@given(warm_case())
-# the first query ends inside, so no tableau is kept until the second
-@example(([(2, 1), (2, 3), (1, 3), (3, 4)], [(4, 5), (4, 0), (3, 5)], 1))
-# a tie in the dual ratio test at the second query
-@example(([(2, 1, 3), (2, 2, 1)], [(2, 0, 0), (4, 4, 0)], 2))
-# an unbounded zero column: every query is inside, none keeps a tableau
-@example(([(0, 0), (5, 5)], [(1, 1), (0, 0)], 1))
-def test_warm_oracle_decides_as_max_weight_lp(case):
-    columns, targets, threshold = case
-    query = warm_lp(columns, threshold)
-    for target in targets:
-        separator = query(target)
-        assert (separator is None) == (max_weight_lp(columns, target, threshold)[0] == "inside")
-        if separator is not None:
-            check_separator(columns, target, threshold, separator)
-
-
-def test_warm_oracle_starts_cold_until_a_query_is_outside():
-    # (4, 5) is inside, so the oracle holds nothing and answers (4, 0)
-    # from scratch, with max_weight_lp's own separator
-    columns = [(2, 1), (2, 3), (1, 3), (3, 4)]
-    query = warm_lp(columns)
-    assert query((4, 5)) is None
-    _, separator, _ = max_weight_lp(columns, (4, 0))
-    assert query((4, 0)) == separator
-    assert query((3, 5)) is None
-
-
-def test_warm_oracle_breaks_a_dual_ratio_tie_on_the_smallest_column():
-    # at (4, 4, 0) the first dual pivot's ratio test ties column 1 with
-    # the slack column 3; entering column 1 ends at y = (0, 2/5, 1/5), the
-    # slack at (0, 0, 1)
-    columns = [(2, 1, 3), (2, 2, 1)]
-    query = warm_lp(columns, 2)
-    assert query((2, 0, 0)) == (0, 1, 0)
-    assert query((4, 4, 0)) == (0, Fraction(2, 5), Fraction(1, 5))
