@@ -16,7 +16,6 @@ from .ideals import (
     colon_by_monomial,
     contains_monomial,
     intersect,
-    is_m_primary,
     minimalize,
     power,
     product,
@@ -40,7 +39,6 @@ from .normality import (
     is_normal,
     pure_power_normality,
     quasinormality_check,
-    socle_criterion_check,
 )
 from .two_exponent import (
     LambdaWitness,
@@ -67,7 +65,6 @@ __all__ = [
     "colon_by_monomial",
     "contains_monomial",
     "intersect",
-    "is_m_primary",
     "minimalize",
     "power",
     "product",
@@ -87,7 +84,6 @@ __all__ = [
     "is_normal",
     "pure_power_normality",
     "quasinormality_check",
-    "socle_criterion_check",
     "LambdaWitness",
     "TwoExponentReport",
     "TwoExponentSpec",

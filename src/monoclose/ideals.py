@@ -157,12 +157,3 @@ def colon_by_maximal(I: MonomialIdeal) -> MonomialIdeal:
         result = quotient if result is None else intersect(result, quotient)
     return result
 
-
-def is_m_primary(I: MonomialIdeal) -> bool:
-    """Whether every variable has a pure-power generator (support of size one)."""
-    covered = set()
-    for g in I.generators:
-        support = [i for i, c in enumerate(g) if c]
-        if len(support) == 1:
-            covered.add(support[0])
-    return len(covered) == I.dim

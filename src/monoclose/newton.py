@@ -75,9 +75,26 @@ def _require_proper(I: MonomialIdeal, op: str):
 
 
 def _require_budget(max_generators):
-    # one meaning for every entry point: None, or a cap of at least 1
-    if max_generators is not None and max_generators < 1:
+    # one meaning for every entry point: None, or an int cap of at least 1
+    if max_generators is None:
+        return
+    if not isinstance(max_generators, int) or isinstance(max_generators, bool):
+        raise ValueError(f"max_generators must be an integer, got {max_generators!r}")
+    if max_generators < 1:
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
+
+
+def _require_exponents(alpha, what="pure-power exponents"):
+    """``alpha`` as a nonempty tuple of ints >= 1; ``what`` names it in errors."""
+    alpha = tuple(alpha)
+    if not alpha:
+        raise ValueError(f"{what} must not be empty")
+    for a in alpha:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise ValueError(f"{what} must be integers, got {a!r}")
+    if any(a < 1 for a in alpha):
+        raise ValueError(f"{what} must all be >= 1")
+    return alpha
 
 
 def _halfspace_profile(gens, dim):
@@ -238,9 +255,7 @@ def pure_power_member(alpha, v) -> bool:
     Agrees with np_member on the ideal (x_1^a1, ..., x_n^an); stated as the
     closed form because pure powers need no LP.
     """
-    alpha = tuple(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError("pure-power exponents must all be >= 1")
+    alpha = _require_exponents(alpha)
     v = _check_vector(v, len(alpha))
     base = lcm(*alpha)
     return sum((base // a) * x for a, x in zip(alpha, v)) >= base

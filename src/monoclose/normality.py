@@ -22,14 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 
 from . import kernels
 from .errors import GeneratorBudgetError
-from .ideals import MonomialIdeal, colon_by_maximal, is_m_primary
+from .ideals import MonomialIdeal
 from .newton import (
     _missing_generators,
     _require_budget,
+    _require_exponents,
     _require_proper,
     _scan_oracle,
 )
@@ -106,47 +108,45 @@ def is_integrally_closed(I: MonomialIdeal):
     return (False, missing[0]) if missing else (True, None)
 
 
-def socle_criterion_check(I: MonomialIdeal) -> bool:
-    """Closedness via the socle route: no colon generator outside I is in NP(I).
-
-    Sound for m-primary ideals: any element of (I : m) not in I must be one
-    of its minimal generators (a proper multiple of a colon element already
-    lands in I), and a minimal generator of (I : m) in I is one of I's own.
-    """
-    if not is_m_primary(I):
-        raise ValueError("socle criterion requires an m-primary ideal")
-    own = set(I.generators)
-    member = _scan_oracle(I.generators, I.dim)(1)
-    for v in colon_by_maximal(I).generators:
-        if v in own:
-            continue
-        if member(v)[0]:
-            return False
-    return True
-
-
-def _powers_to_check(n: int):
-    # One variable leaves the 1..n-1 range empty; closedness of I itself is
-    # still checked rather than hard-coding "normal".
-    return (1,) if n == 1 else tuple(range(1, n))
-
-
 def is_normal(I: MonomialIdeal, max_generators: int | None = None) -> NormalityReport:
     """Direct normality decision: the first n-1 powers must be closed."""
     _require_proper(I, "normality")
     _require_budget(max_generators)
-    checked, witness = _check_powers(I, max_generators)
+    return _report(I, I.dim, _scanned_witnesses(I, max_generators), ("none",))
+
+
+def _first_failure(n, witnesses):
+    """(k, closed?) for the powers to check, up to the first failure; its witness.
+
+    ``witnesses`` yields the lex-least witness of I^k, or None when I^k is
+    closed, for k = 1, 2, ... and forms each power only when asked.  The
+    range comes first in the zip, so the power after the last one checked
+    is never formed.  One variable leaves the 1..n-1 range empty; closedness
+    of I itself is still checked rather than hard-coding "normal".
+    """
+    checked = []
+    for k, witness in zip(range(1, max(n, 2)), witnesses):
+        checked.append((k, witness is None))
+        if witness is not None:
+            return tuple(checked), witness
+    return tuple(checked), None
+
+
+def _report(subject, n, witnesses, shortcuts, representative=None):
+    """The report on ``subject`` whose powers ``_first_failure`` checks."""
+    checked, witness = _first_failure(n, witnesses)
     return NormalityReport(
-        subject=I,
+        subject=subject,
         verdict=NORMAL if witness is None else NOT_NORMAL,
         checked_powers=checked,
         failing_witness=witness,
-        shortcuts=("none",),
+        shortcuts=shortcuts,
+        representative=representative,
     )
 
 
-def _check_powers(I, max_generators):
-    """Closedness of I^k for the powers to check, up to the first failure.
+def _scanned_witnesses(I, max_generators):
+    """The first find of each power's box scan, k = 1, 2, ...: its witness.
 
     I^k is closed exactly when k * NP(I) has no lattice point it misses; the
     scan runs in lex order and stops at its first find, the lex-least
@@ -156,13 +156,10 @@ def _check_powers(I, max_generators):
     scan takes them as they are, and they are the next power's operand.
     ``max_generators`` bounds the minimal generator count of each power; a
     power is minimalized only when it has more sums than that.
-    Returns the (k, closed?) pairs and the witness, or None when every power
-    checked is closed.
     """
-    checked = []
     seeds = I.generators
     oracle = _scan_oracle(I.generators, I.dim)
-    for k in _powers_to_check(I.dim):
+    for k in count(1):
         if k > 1:
             seeds = kernels.pair_sums_antichain(seeds, I.generators)
             if max_generators is not None and len(seeds) > max_generators:
@@ -173,10 +170,7 @@ def _check_powers(I, max_generators):
                         f"over the budget {max_generators}"
                     )
         missing = _missing_generators(seeds, oracle, k, 1)
-        checked.append((k, not missing))
-        if missing:
-            return tuple(checked), missing[0]
-    return tuple(checked), None
+        yield missing[0] if missing else None
 
 
 def _diag_ideal(alpha) -> MonomialIdeal:
@@ -246,9 +240,7 @@ def pure_power_normality(
     that the walk meets before its first failure; no closure, power or
     pair sum is formed.
     """
-    alpha = tuple(alpha)
-    if not alpha or any(a < 1 for a in alpha):
-        raise ValueError("pure-power exponents must all be >= 1")
+    alpha = _require_exponents(alpha)
     _require_budget(max_generators)
     fired: list[str] = []
     work = alpha
@@ -260,22 +252,14 @@ def pure_power_normality(
         fired.append("lcm_shift")
         work = reduced
     fired.append(settled or "none")
-
-    checked, witness = (), None
-    if not settled:
-        checked, witness = _pure_power_powers(work, max_generators)
-    return NormalityReport(
-        subject=alpha,
-        verdict=NORMAL if witness is None else NOT_NORMAL,
-        checked_powers=checked,
-        failing_witness=witness,
-        shortcuts=tuple(fired),
-        representative=work if work != alpha else None,
+    witnesses = () if settled else _walked_witnesses(work, max_generators)
+    return _report(
+        alpha, len(work), witnesses, tuple(fired), work if work != alpha else None
     )
 
 
-def _pure_power_powers(alpha, max_generators):
-    """The direct route for J = closure((x_i^alpha_i)): (k, closed?) and witness.
+def _walked_witnesses(alpha, max_generators):
+    """The direct route's witness of J^k, k = 1, 2, ...; J = closure((x_i^alpha_i)).
 
     J is closed by construction, so k = 1 passes untested.  For k >= 2 with
     J^(k-1) closed, ``_first_outside_power`` finds the lex-least lattice
@@ -283,15 +267,11 @@ def _pure_power_powers(alpha, max_generators):
     closure(J^k): a divisor of it in k*NP(J) would be a lex-smaller point
     outside J^k.  So it is the witness a scan of each power would report.
     """
-    checked = [(1, True)]
     base = lcm(*alpha)
     weights = [base // a for a in alpha]
-    for k in _powers_to_check(len(alpha))[1:]:
-        witness = _first_outside_power(weights, base, k, max_generators)
-        checked.append((k, witness is None))
-        if witness is not None:
-            return tuple(checked), witness
-    return tuple(checked), None
+    yield None
+    for k in count(2):
+        yield _first_outside_power(weights, base, k, max_generators)
 
 
 def _first_outside_power(weights, base, k, max_generators):
@@ -429,9 +409,7 @@ def quasinormality_check(alpha, bound: int) -> QuasinormalityVerdict:
     computed on integer bitmasks.  Failures are reported smallest x first,
     then smallest p.
     """
-    alpha = tuple(alpha)
-    if any(a < 1 for a in alpha):
-        raise ValueError("exponents must all be >= 1")
+    alpha = _require_exponents(alpha, "exponents")
     for i in range(len(alpha)):
         for j in range(i + 1, len(alpha)):
             if gcd(alpha[i], alpha[j]) != 1:

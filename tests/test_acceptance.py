@@ -27,7 +27,6 @@ from monoclose.normality import (
     is_integrally_closed,
     pure_power_normality,
     quasinormality_check,
-    socle_criterion_check,
 )
 from monoclose.two_exponent import (
     TwoExponentSpec,
@@ -37,6 +36,7 @@ from monoclose.two_exponent import (
     ideal_J,
     lambda_ceil,
 )
+from test_normality import socle_criterion_check
 
 
 def announce(capsys, number, ok, detail, elapsed):

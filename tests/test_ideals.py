@@ -12,7 +12,6 @@ from monoclose.ideals import (
     colon_by_monomial,
     contains_monomial,
     intersect,
-    is_m_primary,
     minimalize,
     power,
     product,
@@ -194,13 +193,6 @@ def test_colon_by_maximal_hand():
     # the unit ideal is stable
     U = MonomialIdeal(2, ((0, 0),))
     assert colon_by_maximal(U) == U
-
-
-def test_is_m_primary():
-    assert is_m_primary(MonomialIdeal(3, ((4, 0, 0), (0, 5, 0), (0, 0, 7))))
-    assert not is_m_primary(MonomialIdeal(3, ((4, 0, 0), (0, 5, 0))))
-    assert not is_m_primary(MonomialIdeal(2, ((1, 1),)))
-    assert not is_m_primary(MonomialIdeal(2, ()))
 
 
 def test_equality_is_generator_equality():

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monoclose import normality
+from monoclose import kernels, normality
 from monoclose.errors import GeneratorBudgetError
-from monoclose.ideals import MonomialIdeal, is_m_primary, power
-from monoclose.newton import closure
+from monoclose.ideals import MonomialIdeal, colon_by_maximal, power
+from monoclose.newton import _scan_oracle, closure, pure_power_member
 from monoclose.normality import (
     COUNTEREXAMPLE_FOUND,
     NORMAL,
@@ -22,8 +22,45 @@ from monoclose.normality import (
     is_normal,
     pure_power_normality,
     quasinormality_check,
-    socle_criterion_check,
 )
+
+
+def is_m_primary(I: MonomialIdeal) -> bool:
+    """Whether every variable has a pure-power generator (support of size one)."""
+    covered = set()
+    for g in I.generators:
+        support = [i for i, c in enumerate(g) if c]
+        if len(support) == 1:
+            covered.add(support[0])
+    return len(covered) == I.dim
+
+
+def socle_criterion_check(I: MonomialIdeal) -> bool:
+    """Closedness via the socle route: no colon generator outside I is in NP(I).
+
+    The reference that criterion 7 and ``test_socle_route_agrees`` hold
+    ``is_integrally_closed`` to.  Sound for m-primary ideals: any element of
+    (I : m) not in I must be one of its minimal generators (a proper
+    multiple of a colon element already lands in I), and a minimal generator
+    of (I : m) in I is one of I's own.
+    """
+    if not is_m_primary(I):
+        raise ValueError("socle criterion requires an m-primary ideal")
+    own = set(I.generators)
+    member = _scan_oracle(I.generators, I.dim)(1)
+    for v in colon_by_maximal(I).generators:
+        if v in own:
+            continue
+        if member(v)[0]:
+            return False
+    return True
+
+
+def test_is_m_primary():
+    assert is_m_primary(MonomialIdeal(3, ((4, 0, 0), (0, 5, 0), (0, 0, 7))))
+    assert not is_m_primary(MonomialIdeal(3, ((4, 0, 0), (0, 5, 0))))
+    assert not is_m_primary(MonomialIdeal(2, ((1, 1),)))
+    assert not is_m_primary(MonomialIdeal(2, ()))
 
 
 def test_closedness_known_values():
@@ -117,8 +154,81 @@ def test_library_budgets_below_one_are_refused():
         for budget in (0, -1):
             with pytest.raises(ValueError, match="max_generators must be at least 1"):
                 call(budget)
+        # a fractional cap never equals a find count, and True is no count
+        for budget in (1.5, True):
+            with pytest.raises(ValueError, match="max_generators must be an integer"):
+                call(budget)
         call(None)
         call(1000)
+
+
+@pytest.mark.parametrize("alpha", [(2, 3.5), (True, 3)])
+def test_pure_power_normality_refuses_non_integer_exponents(alpha):
+    # both have two distinct values, which the two-exponent shortcut settles
+    # when nothing checks the type first
+    for shortcuts in (True, False):
+        with pytest.raises(ValueError, match="pure-power exponents must be integers"):
+            pure_power_normality(alpha, use_shortcuts=shortcuts)
+
+
+def test_pure_power_entry_points_refuse_no_exponents():
+    with pytest.raises(ValueError, match="^exponents must not be empty$"):
+        quasinormality_check((), 1)
+    with pytest.raises(ValueError, match="^pure-power exponents must not be empty$"):
+        pure_power_member((), ())
+    with pytest.raises(ValueError, match="^pure-power exponents must not be empty$"):
+        pure_power_normality(())
+    # exponents below 1 keep the texts the CLI prints
+    with pytest.raises(ValueError, match="^exponents must all be >= 1$"):
+        quasinormality_check((0, 3), 1)
+    with pytest.raises(ValueError, match="^pure-power exponents must all be >= 1$"):
+        pure_power_normality((0, 3))
+
+
+def test_is_normal_forms_no_power_past_the_last_checked(monkeypatch):
+    # J = closure(4,4,5,5) is normal: J^2 and J^3 are formed, J^4 is not,
+    # so a budget that only J^4 would exceed does not trip
+    J = closure(normality._diag_ideal((4, 4, 5, 5)))
+    budget = max(len(power(J, k).generators) for k in (2, 3))
+    assert len(power(J, 4).generators) > budget
+    real = kernels.pair_sums_antichain
+    calls = []
+
+    def spy(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(kernels, "pair_sums_antichain", spy)
+    report = is_normal(J, budget)
+    assert report.verdict == NORMAL
+    assert [k for k, _ in report.checked_powers] == [1, 2, 3]
+    assert len(calls) == J.dim - 2
+    calls.clear()
+    assert is_normal(J) == report
+    assert len(calls) == J.dim - 2
+
+
+def test_direct_route_walks_each_power_up_to_the_first_failure(monkeypatch):
+    real = normality._first_outside_power
+    walked = []
+
+    def spy(weights, base, k, max_generators):
+        walked.append(k)
+        return real(weights, base, k, max_generators)
+
+    monkeypatch.setattr(normality, "_first_outside_power", spy)
+    # normal: every power k = 2..n-1, then no walk of J^n
+    assert pure_power_normality((3, 3, 3, 5, 5, 5), False).verdict == NORMAL
+    assert walked == [2, 3, 4, 5]
+    walked.clear()
+    # fails at J^2: no walk after it
+    assert pure_power_normality((5, 6, 7, 8, 9, 11), False).failing_power == 2
+    assert walked == [2]
+    walked.clear()
+    # one and two variables: J itself is closed, nothing is walked
+    for alpha in ((7,), (4, 5)):
+        assert pure_power_normality(alpha, False).checked_powers == ((1, True),)
+    assert walked == []
 
 
 def test_one_variable_is_always_normal():

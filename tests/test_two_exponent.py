@@ -183,6 +183,9 @@ def test_budget_below_one_is_refused():
     for enumerate_ in (generators_F, socle_generators):
         with pytest.raises(ValueError, match="max_generators must be at least 1"):
             enumerate_(figure_spec(), 0)
+        for budget in (1.5, True):
+            with pytest.raises(ValueError, match="max_generators must be an integer"):
+                enumerate_(figure_spec(), budget)
 
 
 def test_budget_none_is_no_cap():
@@ -197,6 +200,9 @@ def test_verify_all_enumerates_f_under_max_generators():
         verify_all(figure_spec(), max_generators=6)
     for budget in (0, -1):
         with pytest.raises(ValueError, match="max_generators must be at least 1"):
+            verify_all(figure_spec(), max_generators=budget)
+    for budget in (1.5, True):
+        with pytest.raises(ValueError, match="max_generators must be an integer"):
             verify_all(figure_spec(), max_generators=budget)
 
 
