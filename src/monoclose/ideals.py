@@ -25,6 +25,11 @@ from .errors import DimensionMismatchError
 Vector = tuple[int, ...]
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but True is no exponent or count
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_vector(v, dim: int) -> Vector:
     t = tuple(v)
     if len(t) != dim:
@@ -32,7 +37,7 @@ def _check_vector(v, dim: int) -> Vector:
             f"expected a vector of length {dim}, got {len(t)}"
         )
     for c in t:
-        if not isinstance(c, int) or isinstance(c, bool):
+        if not _is_int(c):
             raise ValueError(f"exponents must be integers, got {c!r}")
         if c < 0:
             raise ValueError(f"exponents must be nonnegative, got {c}")
@@ -51,6 +56,8 @@ class MonomialIdeal:
     generators: tuple[Vector, ...] = field(default=())
 
     def __post_init__(self):
+        if not _is_int(self.dim):
+            raise ValueError(f"ambient dimension must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         gens = [_check_vector(g, self.dim) for g in self.generators]
@@ -117,6 +124,8 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     minimalized.  In 1-D and 2-D the sums are already the minimal
     generators, so they are returned as they are.
     """
+    if not _is_int(k):
+        raise ValueError(f"power requires an integer k, got {k!r}")
     if k < 1:
         raise ValueError(f"power requires k >= 1, got {k}")
     gens = I.generators

@@ -257,10 +257,6 @@ def dominates_any(gens, v):
     return False
 
 
-class _Stop(Exception):
-    """Unwinds a box scan's walk from the find that reaches its ``limit``."""
-
-
 def box_closure_scan(bounds, seeds, member, limit=None):
     """Find the minimal lattice points of an up-closed region inside a box.
 
@@ -279,6 +275,8 @@ def box_closure_scan(bounds, seeds, member, limit=None):
     verdicts.
     ``limit``: optional positive number of finds after which the scan
     stops, asking the oracle nothing further; None scans the whole box.
+    The find that reaches it ends its row, and the walk returns from every
+    level above.
 
     Returns the minimal region points not dominated by a seed, in lex
     order, or only the ``limit`` lex-least of them; with no limit, the
@@ -311,8 +309,6 @@ def box_closure_scan(bounds, seeds, member, limit=None):
       region point, hence no seed or find, and its rows ask nothing.
     """
     n = len(bounds)
-    if n == 0:
-        return []
     last = n - 1
     free = bounds[last] + 1  # the height of a row that nothing dominates
     # the slab cell of a row prefix p is sum(p[i] * stride[i]): p[1:] in
@@ -353,8 +349,6 @@ def box_closure_scan(bounds, seeds, member, limit=None):
             inside, sep = member(v)
             if inside:
                 found.append(v)
-                if len(found) == limit:
-                    raise _Stop
                 return t
             if sep is None:
                 t += 1
@@ -366,7 +360,8 @@ def box_closure_scan(bounds, seeds, member, limit=None):
         return None
 
     def walk(d, base):
-        # the subtree below prefix[:d], whose slab index so far is base
+        # the subtree below prefix[:d], whose slab index so far is base;
+        # returns True once the finds reach the limit
         for t in range(bounds[d] + 1):
             prefix[d] = t
             cell = base + t * stride[d]
@@ -374,7 +369,8 @@ def box_closure_scan(bounds, seeds, member, limit=None):
                 for c, h in layers.get(t, ()):
                     height[c] = min(height[c], h)
             if d < last - 1:
-                walk(d + 1, cell)
+                if walk(d + 1, cell):
+                    return True
             else:
                 # h(p) = min(own(p), h(p - e_0), h(p - e_i) for i >= 1), the
                 # first two in this cell, the rest walked earlier in this layer
@@ -390,12 +386,11 @@ def box_closure_scan(bounds, seeds, member, limit=None):
                     return
                 hit = scan_row(h)
                 height[cell] = h if hit is None else hit
+                if hit is not None and len(found) == limit:
+                    return True
 
-    try:
-        if n == 1:
-            scan_row(min([free] + [g[0] for g in seeds]))
-        else:
-            walk(0, 0)
-    except _Stop:
-        pass
+    if n == 1:
+        scan_row(min([free] + [g[0] for g in seeds]))
+    else:
+        walk(0, 0)
     return found

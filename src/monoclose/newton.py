@@ -26,7 +26,7 @@ from operator import mul
 
 from . import kernels
 from .errors import DegenerateIdealError, GeneratorBudgetError
-from .ideals import MonomialIdeal, _check_vector
+from .ideals import MonomialIdeal, _check_vector, _is_int
 from .simplex import max_weight_lp
 
 INSIDE = "inside"
@@ -78,7 +78,7 @@ def _require_budget(max_generators):
     # one meaning for every entry point: None, or an int cap of at least 1
     if max_generators is None:
         return
-    if not isinstance(max_generators, int) or isinstance(max_generators, bool):
+    if not _is_int(max_generators):
         raise ValueError(f"max_generators must be an integer, got {max_generators!r}")
     if max_generators < 1:
         raise ValueError(f"max_generators must be at least 1, got {max_generators}")
@@ -90,7 +90,7 @@ def _require_exponents(alpha, what="pure-power exponents"):
     if not alpha:
         raise ValueError(f"{what} must not be empty")
     for a in alpha:
-        if not isinstance(a, int) or isinstance(a, bool):
+        if not _is_int(a):
             raise ValueError(f"{what} must be integers, got {a!r}")
     if any(a < 1 for a in alpha):
         raise ValueError(f"{what} must all be >= 1")

@@ -27,7 +27,7 @@ from math import gcd, lcm
 
 from . import kernels
 from .errors import GeneratorBudgetError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _is_int
 from .newton import (
     _missing_generators,
     _require_budget,
@@ -291,12 +291,13 @@ def _first_outside_power(weights, base, k, max_generators):
     L + max(N) never matter, since dropping a unit of b keeps such a value
     at least L.  The last coordinate adds j = 0..t steps of N_n, so the row
     asks whether the bitset meets a window [L - j N_n, L - j N_n + excess]
-    for some j <= t.  With t > 0 the excess is below N_n, so the windows
-    for all j are disjoint: one comb of their starts times a run of
-    excess + 1 ones, and those for j <= t are the ones at or above window
-    t's start; with t = 0 only the window j = 0 is read.  The bitsets hold
-    value u at bit u + N_n, so that a window that starts below 0 keeps its
-    nonnegative part.
+    for some j <= t.  Their starts are the teeth of one comb, one at every
+    multiple of N_n up to window 0's start; the row keeps the teeth at or
+    above window t's start and multiplies them by a run of excess + 1
+    ones, one window test for every row.  The runs never overlap: with
+    t > 0 the excess is below N_n, and with t = 0 one tooth is kept.  The
+    bitsets hold value u at bit u + N_n, so that a window that starts
+    below 0 keeps its nonnegative part.
 
     ``max_generators`` bounds the minimal generators of J^k the walk meets,
     the points that pass; with J^k closed that is all of them.
@@ -307,12 +308,8 @@ def _first_outside_power(weights, base, k, max_generators):
     if bits > POWER_WALK_MAX_BITS:
         raise GeneratorBudgetError(f"power walk needs {bits}-bit sets, over the cap")
     mask = (1 << bits) - 1
-    # teeth at every multiple of N_n up to L + N_n, doubled into place
-    comb, teeth = 1, 1
-    while teeth * last <= base + last:
-        comb |= comb << (teeth * last)
-        teeth *= 2
-    comb &= (2 << (base + last)) - 1
+    # a tooth at every multiple of N_n up to L + N_n
+    comb = ((1 << (base + 2 * last)) - 1) // ((1 << last) - 1)
     inner = len(head) - 1
     prefix = [0] * len(head)
     passed = 0
@@ -335,14 +332,9 @@ def _first_outside_power(weights, base, k, max_generators):
                 t = -(-rest // last) if rest > 0 else 0
                 excess = t * last - rest
                 if excess < low:
-                    if t:
-                        # the comb times a run of excess + 1 ones
-                        hit = reach & ((comb << (excess + 1)) - comb)
-                        top = base + last - t * last
-                        inside = hit.bit_length() > top if top > 0 else hit
-                    else:
-                        inside = (reach >> (base + last)) & ((2 << excess) - 1)
-                    if not inside:
+                    top = base + last - t * last
+                    teeth = comb >> top << top if top > 0 else comb
+                    if not reach & ((teeth << (excess + 1)) - teeth):
                         return (*prefix, t)
                     passed += 1
                     if max_generators is not None and passed > max_generators:
@@ -416,6 +408,8 @@ def quasinormality_check(alpha, bound: int) -> QuasinormalityVerdict:
                 raise ValueError(
                     f"entries must be pairwise coprime, got {alpha[i]} and {alpha[j]}"
                 )
+    if not _is_int(bound):
+        raise ValueError(f"bound must be an integer, got {bound!r}")
     if bound < 1:
         raise ValueError("bound must be >= 1")
 

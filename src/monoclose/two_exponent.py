@@ -22,11 +22,17 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GeneratorBudgetError
-from .ideals import MonomialIdeal, power
+from .ideals import MonomialIdeal, _is_int, power
 from .newton import _require_budget, closure, pure_power_member
 from .normality import _diag_ideal, is_normal
 
 DEFAULT_F_BUDGET = 10**6
+
+
+def _require_positive(**values):
+    for name, value in values.items():
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,7 @@ class TwoExponentSpec:
     k: int = 1
 
     def __post_init__(self):
-        for name in ("m", "n", "s", "l", "k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        _require_positive(m=self.m, n=self.n, s=self.s, l=self.l, k=self.k)
         if self.l < self.s:
             raise ValueError(
                 f"l must be >= s (swap the blocks): got s={self.s}, l={self.l}"
@@ -108,6 +112,7 @@ def check_lambda_inequality(s: int, l: int, k: int) -> list[LambdaWitness]:
     Runs over every i in 0..ks and returns all evaluations; any violation
     raises immediately since it would mean the arithmetic itself is broken.
     """
+    _require_positive(s=s, l=l, k=k)
     if l < s:
         raise ValueError("requires l >= s")
     ks = k * s

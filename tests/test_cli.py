@@ -185,6 +185,17 @@ def test_quasinormal_oversized_scan_is_a_usage_error(monkeypatch, capsys):
     assert captured.err.startswith("error: quasinormality scan needs")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["power", "-i", "2,0;0,3", "-k", "0"], "error: power must be >= 1\n"),
+    (["quasinormal", "--alpha", "4,5,7", "--bound", "0"], "error: bound must be >= 1\n"),
+    (["two-exp", "gens", "-m", "1", "-n", "1", "-s", "2", "-l", "7", "-k", "0"],
+     "error: k must be a positive integer\n"),
+])
+def test_counts_below_one_are_usage_errors(argv, err, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_oversized_box_scan_is_a_usage_error(capsys):
     # the slab for this box would hold 5001 * 5001 cells
     code = main(["closure", "-i", "1,0,0,0;0,5000,0,0;0,0,5000,0;0,0,0,1"])

@@ -416,6 +416,14 @@ def small_alpha(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(small_alpha())
+# J^2 fails at a row whose prefix alone reaches 2L, so its last coordinate
+# is 0: (2, 3, 3, 0) and (1, 2, 6, 0)
+@example((3, 4, 5, 6))
+@example((2, 3, 7, 4))
+# a row with last coordinate 0 whose excess reaches N_n, where runs of the
+# full comb would overlap: (1, 2, 10, 0) is in J^2 of the normal
+# (2, 3, 11, 14)
+@example((2, 3, 11, 14))
 def test_pure_power_route_matches_a_scan_of_minimal_powers(alpha):
     report = pure_power_normality(alpha, use_shortcuts=False)
     diag = _diag_ideal(alpha)

@@ -65,6 +65,11 @@ def test_constructor_rejects_bad_input():
         MonomialIdeal(2, ((1, 2.0),))
 
 
+def test_constructor_refuses_a_non_integer_dimension():
+    with pytest.raises(ValueError, match=r"^ambient dimension must be an integer, got 2\.0$"):
+        MonomialIdeal(2.0, ((2, 0), (0, 3)))
+
+
 @given(ideal_and_dim())
 def test_minimalize_idempotent(pair):
     I, dim = pair
@@ -158,6 +163,12 @@ def test_power_requires_positive_exponent():
     I = MonomialIdeal(2, ((1, 0),))
     with pytest.raises(ValueError):
         power(I, 0)
+
+
+@pytest.mark.parametrize("k", [True, 2.5])
+def test_power_refuses_a_non_integer_exponent(k):
+    with pytest.raises(ValueError, match="^power requires an integer k, got "):
+        power(MonomialIdeal(2, ((2, 0), (0, 3))), k)
 
 
 @given(two_ideals())

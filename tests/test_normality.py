@@ -295,6 +295,15 @@ def pure_power_alpha(draw):
 @example((3, 4, 4, 5))
 @example((7, 8, 9, 10, 11))
 @example((5, 6, 7, 8, 9, 11))
+# J^2 fails at a row whose prefix alone reaches 2L, so its last coordinate
+# is 0: (2, 3, 3, 0) and (1, 2, 6, 0)
+@example((3, 4, 5, 6))
+@example((2, 3, 7, 4))
+# rows with last coordinate 0 whose excess reaches N_n, where runs of the
+# full comb would overlap: (1, 2, 10, 0) is in J^2 of the normal
+# (2, 3, 11, 14), and (1, 6, 7, 0) lies after the witness (2, 5, 5, 0)
+@example((2, 3, 11, 14))
+@example((3, 7, 8, 18))
 def test_pure_power_route_matches_is_normal_on_the_closure(alpha):
     report = pure_power_normality(alpha, use_shortcuts=False)
     direct = is_normal(closure(normality._diag_ideal(alpha)))
@@ -484,6 +493,12 @@ def test_quasinormality_refuses_oversized_bitmasks(monkeypatch):
     # 1001 bitmasks of 97 * 101 * 103 * 1000 + 1 bits: about 118 GiB
     with pytest.raises(ValueError, match="bits"):
         quasinormality_check((97, 101, 103), 1000)
+
+
+@pytest.mark.parametrize("bound", [True, 1.5])
+def test_quasinormality_refuses_a_non_integer_bound(bound):
+    with pytest.raises(ValueError, match="^bound must be an integer, got "):
+        quasinormality_check((4, 5, 7), bound)
 
 
 def test_quasinormality_size_limit_counts_every_bit(monkeypatch):

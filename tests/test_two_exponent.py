@@ -88,6 +88,24 @@ def test_spec_validation():
         TwoExponentSpec(1, 1, 2, 3, 0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1, 1, 2, 7, True), "k"),
+    ((1, 1, 2.5, 7), "s"),
+])
+def test_spec_refuses_non_integer_parameters(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+        TwoExponentSpec(*args)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0, 3, 1), "s"),
+    ((2, 3, 1.0), "k"),
+])
+def test_lambda_inequality_refuses_bad_parameters(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+        check_lambda_inequality(*args)
+
+
 @st.composite
 def small_spec(draw, max_k=3):
     m = draw(st.integers(1, 2))
