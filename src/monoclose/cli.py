@@ -41,7 +41,7 @@ from .ideals import (
     minimalize,
     power,
 )
-from .newton import _dependence, closure, dependence_witness, np_member
+from .newton import closure, dependence_witness, np_member
 from .normality import (
     NORMAL,
     QUASINORMAL_UP_TO_BOUND,
@@ -185,7 +185,7 @@ def _cmd_member(args, run: _Run) -> int:
         pairs = ", ".join(f"g{j} -> {w}" for j, w in verdict.inside_weights)
         run.text(f"weights: {pairs}")
         if args.witness:
-            wit = _dependence(I, v, verdict)
+            wit = dependence_witness(I, v)
             run.witnesses.append(
                 {
                     "type": "dependence",

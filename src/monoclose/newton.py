@@ -19,6 +19,7 @@ by double description, and ask the LP only about the points inside them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -223,10 +224,21 @@ def _scan_oracle(gens, dim):
 
 
 def np_member(I: MonomialIdeal, v) -> MembershipVerdict:
-    """Exact Newton-polyhedron membership with a validating certificate."""
+    """Exact Newton-polyhedron membership with a validating certificate.
+
+    Halfspace profiles answer in closed form, every other ideal by one
+    ``max_weight_lp`` call.  The last query's verdict is remembered, keyed by
+    (dim, generators, v) after ``v`` is checked, so asking again about the
+    same point of the same ideal, as ``dependence_witness`` does, solves
+    nothing.  Verdicts are frozen, so the shared instance is safe.
+    """
     _require_proper(I, "Newton-polyhedron membership")
-    v = _check_vector(v, I.dim)
-    profile = _halfspace_profile(I.generators, I.dim)
+    return _np_verdict(I.dim, I.generators, _check_vector(v, I.dim))
+
+
+@lru_cache(maxsize=1)
+def _np_verdict(dim, gens, v):
+    profile = _halfspace_profile(gens, dim)
     if profile is not None:
         nums, base, corner = profile
         acc = sum(n * x for n, x in zip(nums, v))
@@ -238,11 +250,11 @@ def np_member(I: MonomialIdeal, v) -> MembershipVerdict:
         # combination is v/T <= v
         weights = tuple(
             (corner[i], Fraction(nums[i] * v[i], acc))
-            for i in range(I.dim)
+            for i in range(dim)
             if nums[i] and v[i]
         )
         return MembershipVerdict(INSIDE, inside_weights=tuple(sorted(weights)))
-    res = max_weight_lp(I.generators, v, 1)
+    res = max_weight_lp(gens, v, 1)
     if res[0] == INSIDE:
         weights = tuple(sorted(res[1].items()))
         return MembershipVerdict(INSIDE, inside_weights=weights)
@@ -339,12 +351,11 @@ def dependence_witness(I: MonomialIdeal, v) -> DependenceWitness:
     The LP certificate bounds the search: at k = lcm of the weight
     denominators the weights themselves scale to an integer multiset, so
     some k at or below that always works and the minimal one is found.
+    The certificate is ``np_member(I, v)``'s, which right after the same
+    query returns its remembered verdict without a second solve.  Raises
+    ``ValueError`` when v lies outside NP(I).
     """
-    return _dependence(I, v, np_member(I, v))
-
-
-def _dependence(I, v, verdict):
-    # dependence_witness for a caller that already holds np_member(I, v)
+    verdict = np_member(I, v)
     if not verdict.is_inside:
         raise ValueError(f"{v} is outside the Newton polyhedron; no witness exists")
     v = tuple(v)
@@ -363,35 +374,53 @@ def _dependence(I, v, verdict):
     raise AssertionError("certificate bound must admit a witness")
 
 
+def _is_rational(x) -> bool:
+    return isinstance(x, Fraction) or _is_int(x)
+
+
 def validate_certificate(I: MonomialIdeal, v, verdict: MembershipVerdict) -> bool:
-    """Re-check every certificate inequality exactly; False on malformed input."""
+    """Re-check every certificate inequality exactly; False on malformed input.
+
+    Works in integers over one common denominator D of the certificate's
+    entries.  Inside: the scaled weights W_j = D w_j must be nonnegative,
+    sum to D, and give sum(W_j a_j) <= D v.  Outside: the scaled separator
+    C = D c must be nonnegative with C . a_j >= D for every generator and
+    C . v < D.  Every weight and separator entry must be an int or a
+    ``Fraction`` and v a vector of nonnegative ints; a float, a bool or any
+    other non-rational entry makes the certificate invalid, so no floating
+    point rounding can pass a false claim.
+    """
     try:
-        v = tuple(v)
-        if len(v) != I.dim:
-            return False
+        v = _check_vector(v, I.dim)
         gens = I.generators
         if verdict.decision == INSIDE:
             if verdict.inside_weights is None or verdict.outside_separator is not None:
                 return False
-            total = [Fraction(0)] * I.dim
-            weight_sum = Fraction(0)
-            for j, w in verdict.inside_weights:
-                if not 0 <= j < len(gens) or w < 0:
+            weights = tuple(verdict.inside_weights)
+            for j, w in weights:
+                if not 0 <= j < len(gens) or not _is_rational(w) or w < 0:
                     return False
-                weight_sum += w
+            den = lcm(*(w.denominator for _, w in weights))
+            total = [0] * I.dim
+            weight_sum = 0
+            for j, w in weights:
+                scaled = w.numerator * (den // w.denominator)
+                weight_sum += scaled
                 for i, c in enumerate(gens[j]):
-                    total[i] += w * c
-            return weight_sum == 1 and all(t <= x for t, x in zip(total, v))
+                    total[i] += scaled * c
+            return weight_sum == den and all(t <= den * x for t, x in zip(total, v))
         if verdict.decision == OUTSIDE:
             sep = verdict.outside_separator
             if sep is None or verdict.inside_weights is not None:
                 return False
-            if len(sep) != I.dim or any(c < 0 for c in sep):
+            if len(sep) != I.dim or not all(_is_rational(c) and c >= 0 for c in sep):
                 return False
+            den = lcm(*(c.denominator for c in sep))
+            scaled = [c.numerator * (den // c.denominator) for c in sep]
             for g in gens:
-                if sum(c * x for c, x in zip(sep, g)) < 1:
+                if sum(map(mul, scaled, g)) < den:
                     return False
-            return sum(c * x for c, x in zip(sep, v)) < 1
+            return sum(map(mul, scaled, v)) < den
         return False
     except (TypeError, ValueError, AttributeError):
         return False

@@ -94,6 +94,7 @@ def test_member_witness_solves_the_lp_once(monkeypatch):
         return lp(*args)
 
     monkeypatch.setattr(newton, "max_weight_lp", counted)
+    newton._np_verdict.cache_clear()  # count from an empty memo
     argv = ["member", "-i", "0,1,3;1,3,0;2,0,1", "-v", "1,2,2", "--witness"]
     code, run = run_command(argv)
     assert code == 0

@@ -9,9 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monoclose import newton
 from monoclose.errors import DegenerateIdealError
 from monoclose.ideals import MonomialIdeal, contains_monomial
 from monoclose.newton import (
+    INSIDE,
+    OUTSIDE,
+    DependenceWitness,
+    MembershipVerdict,
     _facets,
     _halfspace_profile,
     _missing_generators,
@@ -131,6 +136,106 @@ def test_tampered_certificates_fail():
     out = np_member(I, (0, 3, 2))
     flipped = type(out)(decision="inside", inside_weights=out.outside_separator)
     assert not validate_certificate(I, (0, 3, 2), flipped)
+    floats = MembershipVerdict(OUTSIDE, outside_separator=(0.25, 0.2, 1 / 7))
+    assert not validate_certificate(I, (0, 3, 2), floats)
+    # (2^59, 2^59) is outside (x^a, y^a) for a = 2^60 + 1, but float weights
+    # of 1/2 would round its combination of the generators down onto it
+    a = 2**60 + 1
+    J = MonomialIdeal(2, ((a, 0), (0, a)))
+    assert not np_member(J, (2**59, 2**59)).is_inside
+    halves = MembershipVerdict(INSIDE, inside_weights=((0, 0.5), (1, 0.5)))
+    assert not validate_certificate(J, (2**59, 2**59), halves)
+    # and a float separator would round this inside point of (x^b, y^b),
+    # b = 2^54 + 3, outside
+    b = 2**54 + 3
+    K = MonomialIdeal(2, ((b, 0), (0, b)))
+    u = (2**53 + 1, 2**53 + 2)
+    assert np_member(K, u).is_inside
+    c = 1 / (2**54 + 4)
+    assert not validate_certificate(K, u, MembershipVerdict(OUTSIDE, outside_separator=(c, c)))
+    # bools are ints to Python but no weights, separators or exponents
+    L = MonomialIdeal(2, ((1, 0), (0, 1)))
+    assert validate_certificate(L, (1, 1), np_member(L, (1, 1)))
+    assert not validate_certificate(L, (1, 1.0), np_member(L, (1, 1)))
+    assert not validate_certificate(L, (1, True), np_member(L, (1, 1)))
+    assert validate_certificate(L, (0, 1), MembershipVerdict(INSIDE, inside_weights=((0, 1),)))
+    assert not validate_certificate(L, (0, 1), MembershipVerdict(INSIDE, inside_weights=((0, True),)))
+    assert validate_certificate(L, (0, 0), MembershipVerdict(OUTSIDE, outside_separator=(1, 1)))
+    assert not validate_certificate(L, (0, 0), MembershipVerdict(OUTSIDE, outside_separator=(True, True)))
+
+
+def _fraction_validate(I, v, verdict):
+    # the Fraction-arithmetic validator that validate_certificate replaced,
+    # kept as the reference for int and Fraction certificates
+    try:
+        v = tuple(v)
+        if len(v) != I.dim:
+            return False
+        gens = I.generators
+        if verdict.decision == INSIDE:
+            if verdict.inside_weights is None or verdict.outside_separator is not None:
+                return False
+            total = [Fraction(0)] * I.dim
+            weight_sum = Fraction(0)
+            for j, w in verdict.inside_weights:
+                if not 0 <= j < len(gens) or w < 0:
+                    return False
+                weight_sum += w
+                for i, c in enumerate(gens[j]):
+                    total[i] += w * c
+            return weight_sum == 1 and all(t <= x for t, x in zip(total, v))
+        if verdict.decision == OUTSIDE:
+            sep = verdict.outside_separator
+            if sep is None or verdict.inside_weights is not None:
+                return False
+            if len(sep) != I.dim or any(c < 0 for c in sep):
+                return False
+            for g in gens:
+                if sum(c * x for c, x in zip(sep, g)) < 1:
+                    return False
+            return sum(c * x for c, x in zip(sep, v)) < 1
+        return False
+    except (TypeError, ValueError, AttributeError):
+        return False
+
+
+def _tampered(I, v, verdict):
+    # (point, certificate) pairs: the true one, then one change away from it
+    yield v, verdict
+    yield v + (0,), verdict
+    yield v[:-1], verdict
+    for i, x in enumerate(v):
+        if x:
+            yield v[:i] + (x - 1,) + v[i + 1:], verdict
+    if verdict.is_inside:
+        ws = verdict.inside_weights
+        for k, (j, w) in enumerate(ws):
+            for bad in ((j, w / 2), (j, -w), (len(I.generators), w), (-1, w)):
+                yield v, MembershipVerdict(INSIDE, inside_weights=ws[:k] + (bad,) + ws[k + 1:])
+        return
+    sep = verdict.outside_separator
+    yield v, MembershipVerdict(OUTSIDE, outside_separator=sep + (Fraction(0),))
+    for i, c in enumerate(sep):
+        for bad in (c / 2, -c, Fraction(-1)):
+            yield v, MembershipVerdict(OUTSIDE, outside_separator=sep[:i] + (bad,) + sep[i + 1:])
+        # lower c_i until the generator with the least margin on axis i fails
+        margins = [(sum(map(mul, sep, g)) - 1, g[i]) for g in I.generators if g[i]]
+        if margins:
+            over, gi = min(margins, key=lambda m: m[0] / m[1])
+            low = c - over / gi - Fraction(1, 2 * gi)
+            yield v, MembershipVerdict(OUTSIDE, outside_separator=sep[:i] + (low,) + sep[i + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_and_point())
+@example((CYCLIC_4, (1, 1, 2, 2)))
+@example((CYCLIC_4, (1, 1, 1, 1)))
+def test_integer_validator_matches_the_fraction_one(case):
+    I, v = case
+    verdict = np_member(I, v)
+    assert validate_certificate(I, v, verdict)
+    for u, cert in _tampered(I, v, verdict):
+        assert validate_certificate(I, u, cert) == _fraction_validate(I, u, cert)
 
 
 def test_closure_known_example():
@@ -180,6 +285,43 @@ def test_dependence_witness_known_case():
     lhs = tuple(5 * c for c in (0, 3, 3))
     assert tuple(t + s for t, s in zip(total, wit.slack)) == lhs
     assert all(s >= 0 for s in wit.slack)
+
+
+def _counted_solves(monkeypatch):
+    # the max_weight_lp calls np_member makes from here on, from an empty memo
+    lp, solves = newton.max_weight_lp, []
+
+    def counted(*args):
+        solves.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(newton, "max_weight_lp", counted)
+    newton._np_verdict.cache_clear()
+    return solves
+
+
+def test_a_witness_after_its_verdict_solves_once(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    v = (1, 1, 2, 2)
+    verdict = np_member(CYCLIC_4, v)
+    assert verdict.inside_weights == ((0, Fraction(7, 16)), (1, Fraction(1, 4)), (2, Fraction(5, 16)))
+    # a list asks the same question as a tuple
+    assert dependence_witness(CYCLIC_4, list(v)) == DependenceWitness(5, (0, 0, 1, 2, 2), (3, 1, 1, 0))
+    assert len(solves) == 1
+    # the same point of another ideal, where it is outside
+    doubled = MonomialIdeal(4, tuple(tuple(2 * c for c in g) for g in CYCLIC_4.generators))
+    assert not np_member(doubled, v).is_inside
+    with pytest.raises(ValueError):
+        dependence_witness(doubled, v)
+    # another point of the same ideal, then the first point again
+    assert not np_member(CYCLIC_4, (1, 1, 1, 1)).is_inside
+    assert np_member(CYCLIC_4, v) == verdict
+    assert solves == [
+        (CYCLIC_4.generators, v, 1),
+        (doubled.generators, v, 1),
+        (CYCLIC_4.generators, (1, 1, 1, 1), 1),
+        (CYCLIC_4.generators, v, 1),
+    ]
 
 
 def test_dependence_witness_rejects_outside_points():
