@@ -14,6 +14,9 @@ separator for the base scales down by k.  Pure-power ideals skip the LP
 entirely: their polyhedron is the single halfspace sum(v_i/alpha_i) >= 1.
 Box scans test each point against the facets of NP(I), found once per ideal
 by double description, and ask the LP only about the points inside them.
+When double description finished, the facets are the vertices of the LP's
+dual feasible region, so the facet nearest such a point is an optimal dual
+and the LP runs over only the generators on that facet.
 """
 
 from __future__ import annotations
@@ -140,10 +143,14 @@ def _facets(gens, dim):
     by degree, joining each positive/negative pair of rays that no third
     ray's tight set covers.  Rays stay gcd-reduced integers; a tight set is
     a bitmask with bit i for the i-th coordinate of (y, t) and bit n + 1 + s
-    for the generator cut at step s.  Past ``DD_MAX_RAYS`` rays it stops early; the list is
-    then partial, and the scan oracle's LP decides what it misses.  Only
-    rays with t > 0 and a_j . y >= t for every generator are returned,
-    sorted.
+    for the generator cut at step s.
+
+    Returns (facets, complete): the facets sorted, and whether every
+    generator's cut ran.  A finished run's rays already meet every cut and
+    are >= 0, so its facets are the rays with t > 0.  Past ``DD_MAX_RAYS``
+    rays it stops early; the list is then partial, keeps only the rays with
+    t > 0 and a_j . y >= t for every generator, and the scan oracle's LP
+    decides what it misses.
     """
     d = dim + 1
     rays = [(tuple(int(i == k) for i in range(d)), ((1 << d) - 1) ^ (1 << k))
@@ -174,12 +181,13 @@ def _facets(gens, dim):
             cut.append((tuple(x // g for x in r), common | bit))
         rays = cut
         if len(rays) > DD_MAX_RAYS:
-            break
-    return sorted(
-        (r[:dim], r[dim])
-        for r, _ in rays
-        if r[dim] > 0 and min(r) >= 0 and all(sum(map(mul, a, r)) >= r[dim] for a in gens)
-    )
+            facets = sorted(
+                (r[:dim], r[dim])
+                for r, _ in rays
+                if r[dim] > 0 and min(r) >= 0 and all(sum(map(mul, a, r)) >= r[dim] for a in gens)
+            )
+            return facets, False
+    return sorted((r[:dim], r[dim]) for r, _ in rays if r[dim] > 0), True
 
 
 def _scan_oracle(gens, dim):
@@ -188,29 +196,47 @@ def _scan_oracle(gens, dim):
     Finds NP(gens)'s facets once and returns threshold -> member.  member(v)
     is (True, None) or (False, separator), the separator integer-scaled as
     (nums, den): sum(nums * u) >= den for every region point u and < den for
-    the rejected v.  The facets decide every point outside them, returning
-    the most violated one (least nums . v / den).  Every other point goes to
-    one cold ``max_weight_lp`` call, which answers "inside" unless
-    ``_facets`` stopped early; a halfspace profile is its own single,
-    complete facet and needs no LP.  The member keeps no state, so its
-    answers do not depend on the points asked before.
+    the rejected v.  The facet nearest v (least nums . v / den) decides: when
+    v violates it, it is the most violated facet and the separator.  A
+    halfspace profile is its own single, complete facet, so every other
+    point is inside with no LP.  Otherwise one cold ``max_weight_lp`` call
+    confirms the point.  With a complete list, the facets are the blocker's
+    vertices, so the nearest one is an optimal dual of v's LP, and by
+    complementary slackness every optimal weight vector lives on the
+    generators that lie on it (nums . a = den): the LP over those columns
+    alone reaches the threshold.  Should it fall short, which a correct list
+    never lets happen, the LP over every generator decides, as it does
+    behind a list that ``_facets`` cut short.  The member keeps no state, so
+    its answers do not depend on the points asked before.
     """
     profile = _halfspace_profile(gens, dim)
-    complete = profile is not None
-    facets = [profile[:2]] if complete else _facets(gens, dim)
+    if profile is not None:
+        facets, on_facet = [profile[:2]], None
+    else:
+        facets, complete = _facets(gens, dim)
+        # each facet's generators, in canonical order, keyed by its nums;
+        # none behind a list cut short, whose points go to the full LP
+        on_facet = {}
+        if complete:
+            for nums, den in facets:
+                on_facet[nums] = [a for a in gens if sum(map(mul, nums, a)) == den]
 
     def at(threshold):
         scaled = [(nums, threshold * den) for nums, den in facets]
 
         def member(v):
-            sep = None
+            # (None, 0) stands for no facet: every facet is nearer
+            near, low = (None, 0), 1
             for f in scaled:
                 acc = sum(map(mul, f[0], v))
-                if acc < f[1] and (sep is None or acc * sep[1] < low * f[1]):
-                    sep, low = f, acc
-            if sep is not None:
-                return False, sep
-            if complete:
+                if acc * near[1] < low * f[1]:
+                    near, low = f, acc
+            if low < near[1]:
+                return False, near
+            if on_facet is None:
+                return True, None
+            columns = on_facet.get(near[0])
+            if columns is not None and max_weight_lp(columns, v, threshold)[0] == INSIDE:
                 return True, None
             res = max_weight_lp(gens, v, threshold)
             if res[0] == INSIDE:
@@ -355,10 +381,11 @@ def dependence_witness(I: MonomialIdeal, v) -> DependenceWitness:
     query returns its remembered verdict without a second solve.  Raises
     ``ValueError`` when v lies outside NP(I).
     """
+    _require_proper(I, "Newton-polyhedron membership")
+    v = _check_vector(v, I.dim)
     verdict = np_member(I, v)
     if not verdict.is_inside:
         raise ValueError(f"{v} is outside the Newton polyhedron; no witness exists")
-    v = tuple(v)
     k_max = lcm(*(w.denominator for _, w in verdict.inside_weights))
     for k in range(1, k_max + 1):
         counts = _witness_search(I.generators, v, k)

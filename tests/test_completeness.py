@@ -17,6 +17,8 @@ compared with the same reference.
 
 import itertools
 import math
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,7 +27,14 @@ from hypothesis import strategies as st
 from monoclose import kernels, newton, normality
 from monoclose.errors import GeneratorBudgetError
 from monoclose.ideals import MonomialIdeal, minimalize, power
-from monoclose.newton import _missing_generators, _scan_oracle, closure, np_member
+from monoclose.newton import (
+    INSIDE,
+    OUTSIDE,
+    _missing_generators,
+    _scan_oracle,
+    closure,
+    np_member,
+)
 from monoclose.normality import (
     NORMAL,
     _diag_ideal,
@@ -392,19 +401,88 @@ def test_is_normal_finds_the_facets_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "I, cap",
-    [(LP_MID_WALK, 4), (LP_MID_WALK, 5), (CYCLIC_4, 5), (CYCLIC_4, 9)],
+    "I, cap, solves",
+    [(LP_MID_WALK, 4, 6), (LP_MID_WALK, 5, 5), (CYCLIC_4, 5, 19), (CYCLIC_4, 9, 13)],
     ids=["lp-mid-walk-none", "lp-mid-walk-some", "cyclic-4-none", "cyclic-4-some"],
 )
-def test_closure_from_a_capped_facet_list_matches_brute_force(I, cap, monkeypatch):
-    # DD stops with none or only some of the facets; the LP decides every
-    # point they pass, and its "outside" separators join the scan's cache
-    full = newton._facets(I.generators, I.dim)
+def test_closure_from_a_capped_facet_list_matches_brute_force(I, cap, solves, monkeypatch):
+    # DD stops with none or only some of the facets; the LP over every
+    # generator decides each point they pass, and its "outside" separators
+    # join the scan's cache
+    full, complete = newton._facets(I.generators, I.dim)
+    assert complete
     normal = is_normal(closure(I))
     monkeypatch.setattr(newton, "DD_MAX_RAYS", cap)
-    assert len(newton._facets(I.generators, I.dim)) < len(full)
-    assert list(closure(I).generators) == brute_closure(I)
+    facets, complete = newton._facets(I.generators, I.dim)
+    assert len(facets) < len(full) and not complete
+    calls = lp_calls(monkeypatch)
+    C = closure(I)
+    assert len(calls) == solves
+    assert all(columns == I.generators for columns, _, _ in calls)
+    assert list(C.generators) == brute_closure(I)
     assert is_normal(closure(I)) == normal
+
+
+def lp_calls(monkeypatch):
+    """Every ``max_weight_lp`` call through ``newton`` from here on.
+
+    Each entry is the call's columns, as a tuple, its point and its
+    decision.
+    """
+    real, calls = newton.max_weight_lp, []
+
+    def spy(columns, v, threshold=1):
+        res = real(columns, v, threshold)
+        calls.append((tuple(columns), v, res[0]))
+        return res
+
+    monkeypatch.setattr(newton, "max_weight_lp", spy)
+    return calls
+
+
+@pytest.mark.parametrize("I", [LP_MID_WALK, CYCLIC_4], ids=["lp-mid-walk", "cyclic-4"])
+def test_closure_from_a_wrong_facet_list_matches_brute_force(I, monkeypatch):
+    # a list flagged complete that misses one facet: a point outside NP(I)
+    # can pass every facet listed, its nearest one's generators then fall
+    # short of it, and the LP over every generator decides
+    want, normal = brute_closure(I), is_normal(closure(I))
+    real = newton._facets
+    calls = lp_calls(monkeypatch)
+    for drop in range(len(real(I.generators, I.dim)[0])):
+
+        def wrong(gens, dim, drop=drop):
+            facets = real(gens, dim)[0]
+            return facets[:drop] + facets[drop + 1:], True
+
+        monkeypatch.setattr(newton, "_facets", wrong)
+        assert list(closure(I).generators) == want
+        assert is_normal(closure(I)) == normal
+    # some dropped facet let an outside point reach the LP
+    assert any(decision == OUTSIDE for _, _, decision in calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_ideal_up_to_5)
+@example(CYCLIC_4)
+def test_each_find_costs_one_lp_call_over_its_nearest_facet(I):
+    # a complete facet list decides every outside point, and the LP over
+    # the generators on the facet nearest a find confirms it at once
+    assume(newton._halfspace_profile(I.generators, I.dim) is None)
+    facets, complete = newton._facets(I.generators, I.dim)
+    assert complete
+    with pytest.MonkeyPatch.context() as mp:
+        calls = lp_calls(mp)
+        C = closure(I)
+    assert len(calls) == len(set(C.generators) - set(I.generators))
+    for columns, v, decision in calls:
+        assert decision == INSIDE
+        least = min(Fraction(sum(map(mul, nums, v)), den) for nums, den in facets)
+        nearest = [
+            tuple(a for a in I.generators if sum(map(mul, nums, a)) == den)
+            for nums, den in facets
+            if Fraction(sum(map(mul, nums, v)), den) == least
+        ]
+        assert columns in nearest
 
 
 @st.composite

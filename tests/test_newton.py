@@ -324,6 +324,15 @@ def test_a_witness_after_its_verdict_solves_once(monkeypatch):
     ]
 
 
+def test_dependence_witness_takes_any_iterable():
+    # the point is read once, so a one-shot iterator gives the same witness
+    I = MonomialIdeal(3, ((4, 0, 0), (0, 5, 0), (0, 0, 7)))
+    want = dependence_witness(I, (0, 3, 3))
+    assert want.power == 5
+    assert dependence_witness(I, [0, 3, 3]) == want
+    assert dependence_witness(I, iter((0, 3, 3))) == want
+
+
 def test_dependence_witness_rejects_outside_points():
     I = MonomialIdeal(3, ((4, 0, 0), (0, 5, 0), (0, 0, 7)))
     with pytest.raises(ValueError):
@@ -400,21 +409,21 @@ def brute_facets(gens, dim):
 # being adjacent: joining them would add a ray that is no vertex of Q
 @example(MonomialIdeal(5, ((0, 1, 2, 3, 2), (0, 3, 2, 3, 0), (1, 2, 4, 0, 4), (2, 2, 1, 2, 2))))
 def test_facets_match_a_brute_force_vertex_enumeration(I):
-    assert _facets(I.generators, I.dim) == brute_facets(I.generators, I.dim)
+    assert _facets(I.generators, I.dim) == (brute_facets(I.generators, I.dim), True)
 
 
 @given(proper_ideal(max_dim=5, max_coord=5, max_gens=6))
 @settings(max_examples=60, deadline=None)
 def test_facets_are_valid_and_shared_with_the_closure(I):
-    facets = _facets(I.generators, I.dim)
-    assert facets
+    facets, complete = _facets(I.generators, I.dim)
+    assert facets and complete
     for nums, den in facets:
         assert den > 0 and min(nums) >= 0
         assert math.gcd(*nums, den) == 1
         for a in I.generators:
             assert sum(map(mul, nums, a)) >= den
     C = closure(I)
-    assert _facets(C.generators, C.dim) == facets
+    assert _facets(C.generators, C.dim) == (facets, True)
 
 
 @st.composite
@@ -442,6 +451,7 @@ def test_scan_oracle_decides_as_max_weight_lp(case):
             nums, den = sep
             assert min(nums) >= 0 and sum(map(mul, nums, v)) < den
             assert all(k * sum(map(mul, nums, a)) >= den for a in I.generators)
-            least = min(Fraction(sum(map(mul, n, v)), d) for n, d in _facets(I.generators, I.dim))
+            facets = _facets(I.generators, I.dim)[0]
+            least = min(Fraction(sum(map(mul, n, v)), d) for n, d in facets)
             assert Fraction(k * sum(map(mul, nums, v)), den) == least
     assert [member(v) for v in reversed(points)] == answers[::-1]
