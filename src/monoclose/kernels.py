@@ -46,7 +46,10 @@ the minimal generators passes them through ``minimal_antichain``.
 The box scan accepts any generating set as seeds, minimal or not, and
 stops once it has as many finds as its caller's ``limit``.  It tests its
 cached separators only where it would ask the oracle: once at the start of
-each row, and again on the one separator that arrives within the row.
+each row, and again on the one separator that arrives within the row.  The
+row test stops at the first separator that closes the row and moves that
+separator to the front of the cache, where the next rows, its neighbours,
+meet it first.
 """
 
 from __future__ import annotations
@@ -305,8 +308,12 @@ def box_closure_scan(bounds, seeds, member, limit=None):
       rest = den - sum(nums[:-1] * p); with rest > 0 and nums[-1] = 0 it
       excludes the whole row.  So each row starts at the largest such bound
       over the cached separators, and jumps again on a new separator alone.
-      The walk itself tests no separator: a prefix they exclude holds no
-      region point, hence no seed or find, and its rows ask nothing.
+      The test stops at the first separator whose bound reaches the row's
+      height, which closes the row, and moves that separator to the front
+      of the cache; the rows that ask nothing do not depend on the cache's
+      order, so neither do the oracle's points.  The walk itself tests no
+      separator: a prefix they exclude holds no region point, hence no seed
+      or find, and its rows ask nothing.
     """
     n = len(bounds)
     last = n - 1
@@ -328,21 +335,27 @@ def box_closure_scan(bounds, seeds, member, limit=None):
     seps = []  # (nums[:last], nums[last], den) per cached separator
     prefix = [0] * n
 
-    def first_open(t, these):
+    def first_open(t, end, these):
         # least t' >= t in the current row that the separators in these
-        # leave open; head has `last` entries, so prefix[last] is not read
-        for head, tail, den in these:
+        # leave open; at the first one that leaves nothing open below end,
+        # some t' >= end, and that separator moves to the front of these.
+        # head has `last` entries, so prefix[last] is not read
+        for sep in these:
+            head, tail, den = sep
             rest = den - sum(map(mul, head, prefix))
             if rest > 0:
-                if not tail:
-                    return free
-                t = max(t, -(-rest // tail))
+                t = max(t, -(-rest // tail)) if tail else free
+                if t >= end:
+                    if sep is not these[0]:
+                        these.remove(sep)
+                        these.insert(0, sep)
+                    return t
         return t
 
     def scan_row(end):
         # the row at the current prefix, up to (not including) t = end;
         # returns the t found inside, or None
-        t = first_open(0, seps)
+        t = first_open(0, end, seps)
         while t < end:
             prefix[last] = t
             v = tuple(prefix)
@@ -356,7 +369,7 @@ def box_closure_scan(bounds, seeds, member, limit=None):
                 nums, den = sep
                 entry = (nums[:last], nums[last], den)
                 seps.append(entry)
-                t = first_open(t + 1, (entry,))
+                t = first_open(t + 1, end, (entry,))
         return None
 
     def walk(d, base):

@@ -423,6 +423,28 @@ def test_closure_from_a_capped_facet_list_matches_brute_force(I, cap, solves, mo
     assert is_normal(closure(I)) == normal
 
 
+@pytest.mark.parametrize(
+    "I, cap, solves", [(LP_MID_WALK, 20, 4), (CYCLIC_4, 40, 17)], ids=["lp-mid-walk", "cyclic-4"]
+)
+def test_closure_from_a_facet_list_cut_short_by_work_matches_brute_force(
+    I, cap, solves, monkeypatch
+):
+    # DD stops once its adjacency tests have scanned more than
+    # DD_MAX_WORK rays, with a handful of rays, far below DD_MAX_RAYS
+    full, complete = newton._facets(I.generators, I.dim)
+    assert complete
+    normal = is_normal(closure(I))
+    monkeypatch.setattr(newton, "DD_MAX_WORK", cap)
+    facets, complete = newton._facets(I.generators, I.dim)
+    assert len(facets) < len(full) < newton.DD_MAX_RAYS and not complete
+    calls = lp_calls(monkeypatch)
+    C = closure(I)
+    assert len(calls) == solves
+    assert all(columns == I.generators for columns, _, _ in calls)
+    assert list(C.generators) == brute_closure(I)
+    assert is_normal(closure(I)) == normal
+
+
 def lp_calls(monkeypatch):
     """Every ``max_weight_lp`` call through ``newton`` from here on.
 
@@ -461,28 +483,59 @@ def test_closure_from_a_wrong_facet_list_matches_brute_force(I, monkeypatch):
     assert any(decision == OUTSIDE for _, _, decision in calls)
 
 
+def confirming_call(I, v, k):
+    """The one LP call that confirms a find v of k NP(I), and its decision.
+
+    Its columns are the generators on every facet tied for nearest v, in
+    canonical order, cut to the rows where k a_i > v_i for one of them; its
+    target is v cut to the same rows.  Decided here by dot products alone.
+    """
+    facets = [f[:2] for f in newton._facets(I.generators, I.dim)[0]]
+    least = min(Fraction(sum(map(mul, nums, v)), den) for nums, den in facets)
+    nearest = [f for f in facets if Fraction(sum(map(mul, f[0], v)), f[1]) == least]
+    shared = [
+        a for a in I.generators
+        if all(sum(map(mul, nums, a)) == den for nums, den in nearest)
+    ]
+    rows = [i for i in range(I.dim) if any(k * a[i] > v[i] for a in shared)]
+    columns = tuple(tuple(a[i] for i in rows) for a in shared)
+    return columns, tuple(v[i] for i in rows), INSIDE
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_ideal_up_to_5)
 @example(CYCLIC_4)
+# (2, 2, 2): two facets tie, and only two of the nearest one's three
+# generators lie on both
+@example(MonomialIdeal(3, ((0, 1, 3), (2, 0, 4), (4, 3, 1))))
+# (2, 3, 2, 2): three facets tie, and no generator exceeds it in the last row
+@example(MonomialIdeal(4, ((1, 4, 3, 2), (3, 2, 1, 2), (4, 2, 0, 2))))
 def test_each_find_costs_one_lp_call_over_its_nearest_facet(I):
-    # a complete facet list decides every outside point, and the LP over
-    # the generators on the facet nearest a find confirms it at once
+    # a complete facet list decides every outside point, and one LP over
+    # the generators on all the facets nearest a find, cut to the rows
+    # they can exceed, confirms it at once
     assume(newton._halfspace_profile(I.generators, I.dim) is None)
-    facets, complete = newton._facets(I.generators, I.dim)
-    assert complete
+    assert newton._facets(I.generators, I.dim)[1]
     with pytest.MonkeyPatch.context() as mp:
         calls = lp_calls(mp)
         C = closure(I)
-    assert len(calls) == len(set(C.generators) - set(I.generators))
-    for columns, v, decision in calls:
-        assert decision == INSIDE
-        least = min(Fraction(sum(map(mul, nums, v)), den) for nums, den in facets)
-        nearest = [
-            tuple(a for a in I.generators if sum(map(mul, nums, a)) == den)
-            for nums, den in facets
-            if Fraction(sum(map(mul, nums, v)), den) == least
-        ]
-        assert columns in nearest
+    found = sorted(set(C.generators) - set(I.generators))
+    assert calls == [confirming_call(I, v, 1) for v in found]
+
+
+@pytest.mark.parametrize(
+    "I", [closure(LP_MID_WALK), CYCLIC_4_CLOSURE], ids=["lp-mid-walk", "cyclic-4"]
+)
+def test_a_find_at_threshold_2_costs_one_lp_call_over_its_nearest_facets(I, monkeypatch):
+    # is_normal scans the square at threshold 2: LP_MID_WALK's closure is
+    # normal, so its square has no find and asks no LP; CYCLIC_4's closure
+    # fails there at its first find, confirmed by one LP
+    calls = lp_calls(monkeypatch)
+    report = is_normal(I)
+    if report.failing_witness is None:
+        assert calls == []
+    else:
+        assert calls == [confirming_call(I, report.failing_witness, report.failing_power)]
 
 
 @st.composite

@@ -409,7 +409,13 @@ def brute_facets(gens, dim):
 # being adjacent: joining them would add a ray that is no vertex of Q
 @example(MonomialIdeal(5, ((0, 1, 2, 3, 2), (0, 3, 2, 3, 0), (1, 2, 4, 0, 4), (2, 2, 1, 2, 2))))
 def test_facets_match_a_brute_force_vertex_enumeration(I):
-    assert _facets(I.generators, I.dim) == (brute_facets(I.generators, I.dim), True)
+    facets, complete = _facets(I.generators, I.dim)
+    assert complete
+    assert [(nums, den) for nums, den, _ in facets] == brute_facets(I.generators, I.dim)
+    # the generators on each facet, read off its ray's tight set, are those
+    # whose dot product with it is exactly its denominator
+    for nums, den, on in facets:
+        assert list(on) == [a for a in I.generators if sum(map(mul, nums, a)) == den]
 
 
 @given(proper_ideal(max_dim=5, max_coord=5, max_gens=6))
@@ -417,13 +423,15 @@ def test_facets_match_a_brute_force_vertex_enumeration(I):
 def test_facets_are_valid_and_shared_with_the_closure(I):
     facets, complete = _facets(I.generators, I.dim)
     assert facets and complete
-    for nums, den in facets:
+    for nums, den, _ in facets:
         assert den > 0 and min(nums) >= 0
         assert math.gcd(*nums, den) == 1
         for a in I.generators:
             assert sum(map(mul, nums, a)) >= den
     C = closure(I)
-    assert _facets(C.generators, C.dim) == (facets, True)
+    closed, complete = _facets(C.generators, C.dim)
+    assert complete
+    assert [f[:2] for f in closed] == [f[:2] for f in facets]
 
 
 @st.composite
@@ -452,6 +460,6 @@ def test_scan_oracle_decides_as_max_weight_lp(case):
             assert min(nums) >= 0 and sum(map(mul, nums, v)) < den
             assert all(k * sum(map(mul, nums, a)) >= den for a in I.generators)
             facets = _facets(I.generators, I.dim)[0]
-            least = min(Fraction(sum(map(mul, n, v)), d) for n, d in facets)
+            least = min(Fraction(sum(map(mul, n, v)), d) for n, d, _ in facets)
             assert Fraction(k * sum(map(mul, nums, v)), den) == least
     assert [member(v) for v in reversed(points)] == answers[::-1]

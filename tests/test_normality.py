@@ -280,10 +280,17 @@ def test_pure_power_route_does_not_rescan_the_closure(monkeypatch):
 
 @st.composite
 def pure_power_alpha(draw):
-    # block-constant tuples too: a few values, each repeated
+    # block-constant tuples too: a few values, each repeated; and sorted
+    # 4-tuples with two entries in 8..20, the shape of every tuple known to
+    # have a row with last coordinate 0 whose excess reaches N_n, where the
+    # runs of the full comb would overlap
+    kind = draw(st.sampled_from(("any", "blocks", "wide")))
+    if kind == "wide":
+        small = [draw(st.integers(1, 7)) for _ in range(2)]
+        return tuple(sorted(small + [draw(st.integers(8, 20)) for _ in range(2)]))
     n = draw(st.integers(1, 5))
     top = (9, 9, 7, 5, 4)[n - 1]
-    if draw(st.booleans()):
+    if kind == "any":
         return tuple(draw(st.integers(1, top)) for _ in range(n))
     values = draw(st.lists(st.integers(1, top), min_size=1, max_size=2))
     return tuple(sorted(draw(st.sampled_from(values)) for _ in range(n)))
@@ -304,6 +311,8 @@ def pure_power_alpha(draw):
 # (2, 3, 11, 14), and (1, 6, 7, 0) lies after the witness (2, 5, 5, 0)
 @example((2, 3, 11, 14))
 @example((3, 7, 8, 18))
+@example((2, 3, 11, 16))
+@example((2, 5, 13, 16))
 def test_pure_power_route_matches_is_normal_on_the_closure(alpha):
     report = pure_power_normality(alpha, use_shortcuts=False)
     direct = is_normal(closure(normality._diag_ideal(alpha)))
