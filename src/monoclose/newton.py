@@ -14,12 +14,13 @@ separator for the base scales down by k.  Pure-power ideals skip the LP
 entirely: their polyhedron is the single halfspace sum(v_i/alpha_i) >= 1.
 Box scans test each point against the facets of NP(I), found once per ideal
 by double description, and ask the LP only about the points inside them.
-Double description also reports the generators on each facet, read off the
-tight sets of its rays.  When it finished, the facets are the vertices of
-the LP's dual feasible region, so every facet nearest such a point is an
-optimal dual, and the LP runs over only the generators on all of them, cut
-to the coordinates where one of them, times the threshold, exceeds the
-point.
+Double description also reports the generators on each facet as a bitmask,
+read off the tight sets of its rays, unless a cap on its work cut it short.
+When it finished, the facets are the vertices of the LP's dual feasible
+region, so every facet nearest such a point is an optimal dual.  One pass
+over the facets finds the nearest ones and the generators on all of them,
+and the LP runs over only those, cut to the coordinates where one of them,
+times the threshold, exceeds the point.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ from .simplex import max_weight_lp
 INSIDE = "inside"
 OUTSIDE = "outside"
 
-# Most rays ``_facets`` holds, and most rays its adjacency tests scan in
-# all, before it stops with a partial facet list.  10**6 scans take about
-# 0.2 s in pure Python 3.11 on a 2-vCPU guest; the largest run among the
-# tests and the CI ideals (the 6-variable ideal with 62 facets) makes 3,865.
-DD_MAX_RAYS = 5000
+# Most rays the adjacency tests of ``_facets`` scan in all before it stops
+# with a partial facet list.  10**6 scans take about 0.2 s in pure Python
+# 3.11 on a 2-vCPU guest; the largest run among the tests and the CI ideals
+# (the 6-variable ideal with 62 facets) makes 3,865.  Each joined ray costs
+# one test that scans every current ray, so this bounds the rays held too:
+# over 270 random ideals in 4-12 variables, a stopped run held at most
+# 1,448 rays, and holding about 5,000 takes 19-23 million scans.
 DD_MAX_WORK = 10**6
 
 
@@ -148,24 +151,23 @@ def _facets(gens, dim):
     cone {(y, t) >= 0 : a_j . y >= t}: start from its n + 1 unit rays and
     cut by one generator at a time, fewest nonzero coordinates first, then
     by degree, joining each positive/negative pair of rays that no third
-    ray's tight set covers.  Rays stay gcd-reduced integers; a tight set is
-    a bitmask with bit i for the i-th coordinate of (y, t) and bit n + 1 + s
-    for the generator cut at step s.  A ray joined from p and q is positive
-    on an earlier cut exactly where p or q is, so tight sets are exact.
+    ray's tight set covers.  Rays stay gcd-reduced integers, each a
+    nonnegative combination of the unit rays; a tight set is a bitmask with
+    bit i for the i-th coordinate of (y, t) and bit n + 1 + s for the
+    generator cut at step s.  A ray joined from p and q is positive on an
+    earlier cut exactly where p or q is, so tight sets are exact.
 
-    Returns (facets, complete): the facets as (nums, den, on) triples,
-    sorted, and whether every generator's cut ran.  A finished run's rays
-    already meet every cut and are >= 0, so its facets are the rays with
-    t > 0, and ``on`` holds the generators on each (nums . a = den), in the
-    order of ``gens``: those whose bit is in its ray's tight set.  The run
-    stops early once it holds more than ``DD_MAX_RAYS`` rays, or once its
-    adjacency tests have scanned more than ``DD_MAX_WORK`` rays in all
-    (each test scans every current ray, so a step costs up to
+    Returns the facets as sorted (nums, den, on) triples.  A finished run's
+    rays meet every cut, so its facets are the rays with t > 0, and ``on``
+    is the int bitmask of the generators on each (nums . a = den), bit j for
+    ``gens[j]``, read off its ray's tight set.  The run stops early once its
+    adjacency tests have scanned more than ``DD_MAX_WORK`` rays in all (each
+    test scans every current ray, so a step costs up to
     plus * minus * rays even when few pairs are adjacent).  The list is
-    then partial: it keeps only the rays with t > 0 and a_j . y >= t for
-    every generator, each with ``on`` None, since its tight set has no bit
-    for the generators not yet cut, and the scan oracle's LP decides what
-    it misses.
+    then partial, possibly empty: it keeps only the rays with t > 0 and
+    a_j . y >= t for every generator, each with ``on`` None, since its
+    tight set has no bit for the generators not yet cut, and the scan
+    oracle's LP decides what it misses.
     """
     d = dim + 1
     rays = [(tuple(int(i == k) for i in range(d)), ((1 << d) - 1) ^ (1 << k))
@@ -188,7 +190,7 @@ def _facets(gens, dim):
             else:
                 cut.append((r, z | bit))
         for (sp, p, zp), (sq, q, zq) in product(plus, minus):
-            if len(cut) > DD_MAX_RAYS or work > DD_MAX_WORK:
+            if work > DD_MAX_WORK:
                 break
             common = zp & zq
             if common.bit_count() < d - 2:
@@ -200,18 +202,17 @@ def _facets(gens, dim):
             g = gcd(*r)
             cut.append((tuple(x // g for x in r), common | bit))
         rays = cut
-        if len(rays) > DD_MAX_RAYS or work > DD_MAX_WORK:
-            facets = sorted(
+        if work > DD_MAX_WORK:
+            return sorted(
                 (r[:dim], r[dim], None)
                 for r, _ in rays
-                if r[dim] > 0 and min(r) >= 0 and all(sum(map(mul, a, r)) >= r[dim] for a in gens)
+                if r[dim] > 0 and all(sum(map(mul, a, r)) >= r[dim] for a in gens)
             )
-            return facets, False
     return sorted(
-        (r[:dim], r[dim], tuple(a for a, b in zip(gens, bits) if z & b))
+        (r[:dim], r[dim], sum(1 << j for j, b in enumerate(bits) if z & b))
         for r, z in rays
         if r[dim] > 0
-    ), True
+    )
 
 
 def _scan_oracle(gens, dim):
@@ -220,59 +221,56 @@ def _scan_oracle(gens, dim):
     Finds NP(gens)'s facets once and returns threshold -> member.  member(v)
     is (True, None) or (False, separator), the separator integer-scaled as
     (nums, den): sum(nums * u) >= den for every region point u and < den for
-    the rejected v.  The facet nearest v (least nums . v / den, compared by
-    cross-multiplying) decides: when v violates it, it is the most violated
-    facet and the separator.  A halfspace profile is its own single,
-    complete facet, so every other point is inside with no LP.
+    the rejected v.  One pass over the facets finds the facet nearest v
+    (least nums . v / den, compared by cross-multiplying; the first of any
+    tie) and ``shared``, the mask of the generators on every facet tied with
+    it.  When v violates the nearest facet, it is the most violated facet
+    and the separator.  A halfspace profile is its own single facet, so
+    every other point is inside with no LP.
 
     Otherwise one ``max_weight_lp`` call confirms a point inside every
-    facet.  With a complete list, the facets are the blocker's vertices, so
-    every facet tied for nearest v is an optimal dual of v's LP, and by
-    complementary slackness every optimal weight vector lives on the
-    generators that lie on all of them (Schrijver, "Theory of Linear and
-    Integer Programming", 1986): the LP over those columns alone reaches
-    the threshold.  It keeps only the rows i where threshold * a_i > v_i for
-    some column a: once the weights sum to the threshold, a dropped row
-    gets at most threshold * max a_i <= v_i.  Should the columns be none or
-    fall short, which a correct list never lets happen, the LP over every
-    generator decides, as it does behind a list that ``_facets`` cut short.
-    The member keeps no state, so its answers do not depend on the points
-    asked before.
+    facet.  When ``_facets`` finished, its masks are ints and the facets are
+    the blocker's vertices, so every facet tied for nearest v is an optimal
+    dual of v's LP, and by complementary slackness every optimal weight
+    vector lives on the generators in ``shared`` (Schrijver, "Theory of
+    Linear and Integer Programming", 1986): the LP over those columns alone
+    reaches the threshold.  It keeps only the rows i where threshold * a_i >
+    v_i for some column a: once the weights sum to the threshold, a dropped
+    row gets at most threshold * max a_i <= v_i.  Should the columns be none
+    or fall short, which a correct list never lets happen, the LP over every
+    generator decides, as it does behind a list that ``_facets`` cut short,
+    whose masks are None.  The member keeps no state, so its answers do not
+    depend on the points asked before.
     """
     profile = _halfspace_profile(gens, dim)
-    if profile is None:
-        facets, complete = _facets(gens, dim)
-    else:
-        facets, complete = [profile[:2] + (None,)], True
+    facets = _facets(gens, dim) if profile is None else [profile[:2] + (None,)]
 
     def at(threshold):
         scaled = [(nums, threshold * den, on) for nums, den, on in facets]
 
         def member(v):
-            # (None, 0) stands for no facet: every facet is nearer; tied
-            # says whether another facet is as near as the nearest
-            near, low = (None, 0), 1
+            # ((), 0, None) stands for no facet: every facet is nearer;
+            # shared is None behind a truncated list and stays 0 once no
+            # generator lies on every tie
+            near, low, shared = ((), 0, None), 1, None
             for f in scaled:
                 acc = sum(map(mul, f[0], v))
-                if acc * near[1] <= low * f[1]:
-                    tied = acc * near[1] == low * f[1]
-                    if not tied:
-                        near, low = f, acc
+                gap = acc * near[1] - low * f[1]
+                if gap < 0:
+                    near, low, shared = f, acc, f[2]
+                elif gap == 0 and shared:
+                    shared &= f[2]
             if low < near[1]:
                 return False, near[:2]
             if profile is not None:
                 return True, None
-            if complete:
-                columns = near[2]
-                if tied:
-                    ties = [f[2] for f in scaled if sum(map(mul, f[0], v)) * near[1] == low * f[1]]
-                    columns = [a for a in columns if all(a in on for on in ties)]
-                if columns:
-                    # the rows that some column exceeds at the threshold
-                    rows = [x < threshold * max(c) for x, c in zip(v, zip(*columns))]
-                    cut = [tuple(compress(a, rows)) for a in columns]
-                    if max_weight_lp(cut, tuple(compress(v, rows)), threshold)[0] == INSIDE:
-                        return True, None
+            if shared:
+                columns = [a for j, a in enumerate(gens) if shared >> j & 1]
+                # the rows that some column exceeds at the threshold
+                rows = [x < threshold * max(c) for x, c in zip(v, zip(*columns))]
+                cut = [tuple(compress(a, rows)) for a in columns]
+                if max_weight_lp(cut, tuple(compress(v, rows)), threshold)[0] == INSIDE:
+                    return True, None
             res = max_weight_lp(gens, v, threshold)
             if res[0] == INSIDE:
                 return True, None

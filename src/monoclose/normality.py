@@ -100,12 +100,11 @@ def is_integrally_closed(I: MonomialIdeal):
     """Whether I equals its closure; on failure also the lex-least witness.
 
     Returns (True, None) or (False, v) with v a minimal closure generator
-    not in I.
+    not in I: the first step of ``_scanned_witnesses``.
     """
     _require_proper(I, "integral closedness")
-    oracle = _scan_oracle(I.generators, I.dim)
-    missing = _missing_generators(I.generators, oracle, 1, 1)
-    return (False, missing[0]) if missing else (True, None)
+    witness = next(_scanned_witnesses(I, None))
+    return witness is None, witness
 
 
 def is_normal(I: MonomialIdeal, max_generators: int | None = None) -> NormalityReport:

@@ -401,42 +401,38 @@ def test_is_normal_finds_the_facets_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "I, cap, solves",
-    [(LP_MID_WALK, 4, 6), (LP_MID_WALK, 5, 5), (CYCLIC_4, 5, 19), (CYCLIC_4, 9, 13)],
-    ids=["lp-mid-walk-none", "lp-mid-walk-some", "cyclic-4-none", "cyclic-4-some"],
-)
-def test_closure_from_a_capped_facet_list_matches_brute_force(I, cap, solves, monkeypatch):
-    # DD stops with none or only some of the facets; the LP over every
-    # generator decides each point they pass, and its "outside" separators
-    # join the scan's cache
-    full, complete = newton._facets(I.generators, I.dim)
-    assert complete
-    normal = is_normal(closure(I))
-    monkeypatch.setattr(newton, "DD_MAX_RAYS", cap)
-    facets, complete = newton._facets(I.generators, I.dim)
-    assert len(facets) < len(full) and not complete
-    calls = lp_calls(monkeypatch)
-    C = closure(I)
-    assert len(calls) == solves
-    assert all(columns == I.generators for columns, _, _ in calls)
-    assert list(C.generators) == brute_closure(I)
-    assert is_normal(closure(I)) == normal
-
-
-@pytest.mark.parametrize(
-    "I, cap, solves", [(LP_MID_WALK, 20, 4), (CYCLIC_4, 40, 17)], ids=["lp-mid-walk", "cyclic-4"]
+    "I, cap, kept, solves",
+    [
+        (LP_MID_WALK, 0, 0, 6),
+        (LP_MID_WALK, 8, 1, 5),
+        (LP_MID_WALK, 20, 2, 4),
+        (CYCLIC_4, 0, 0, 19),
+        (CYCLIC_4, 40, 2, 17),
+        (CYCLIC_4, 83, 6, 13),
+    ],
+    ids=[
+        "lp-mid-walk-none",
+        "lp-mid-walk-some",
+        "lp-mid-walk",
+        "cyclic-4-none",
+        "cyclic-4",
+        "cyclic-4-some",
+    ],
 )
 def test_closure_from_a_facet_list_cut_short_by_work_matches_brute_force(
-    I, cap, solves, monkeypatch
+    I, cap, kept, solves, monkeypatch
 ):
-    # DD stops once its adjacency tests have scanned more than
-    # DD_MAX_WORK rays, with a handful of rays, far below DD_MAX_RAYS
-    full, complete = newton._facets(I.generators, I.dim)
-    assert complete
+    # DD stops once its adjacency tests have scanned more than DD_MAX_WORK
+    # rays, with none or only some of the facets, none of them marked with
+    # its generators; the LP over every generator decides each point they
+    # pass, and its "outside" separators join the scan's cache
+    full = newton._facets(I.generators, I.dim)
+    assert all(on is not None for _, _, on in full)
     normal = is_normal(closure(I))
     monkeypatch.setattr(newton, "DD_MAX_WORK", cap)
-    facets, complete = newton._facets(I.generators, I.dim)
-    assert len(facets) < len(full) < newton.DD_MAX_RAYS and not complete
+    facets = newton._facets(I.generators, I.dim)
+    assert len(facets) == kept < len(full)
+    assert all(on is None for _, _, on in facets)
     calls = lp_calls(monkeypatch)
     C = closure(I)
     assert len(calls) == solves
@@ -464,17 +460,17 @@ def lp_calls(monkeypatch):
 
 @pytest.mark.parametrize("I", [LP_MID_WALK, CYCLIC_4], ids=["lp-mid-walk", "cyclic-4"])
 def test_closure_from_a_wrong_facet_list_matches_brute_force(I, monkeypatch):
-    # a list flagged complete that misses one facet: a point outside NP(I)
+    # a list marked complete that misses one facet: a point outside NP(I)
     # can pass every facet listed, its nearest one's generators then fall
     # short of it, and the LP over every generator decides
     want, normal = brute_closure(I), is_normal(closure(I))
     real = newton._facets
     calls = lp_calls(monkeypatch)
-    for drop in range(len(real(I.generators, I.dim)[0])):
+    for drop in range(len(real(I.generators, I.dim))):
 
         def wrong(gens, dim, drop=drop):
-            facets = real(gens, dim)[0]
-            return facets[:drop] + facets[drop + 1:], True
+            facets = real(gens, dim)
+            return facets[:drop] + facets[drop + 1:]
 
         monkeypatch.setattr(newton, "_facets", wrong)
         assert list(closure(I).generators) == want
@@ -490,7 +486,7 @@ def confirming_call(I, v, k):
     canonical order, cut to the rows where k a_i > v_i for one of them; its
     target is v cut to the same rows.  Decided here by dot products alone.
     """
-    facets = [f[:2] for f in newton._facets(I.generators, I.dim)[0]]
+    facets = [f[:2] for f in newton._facets(I.generators, I.dim)]
     least = min(Fraction(sum(map(mul, nums, v)), den) for nums, den in facets)
     nearest = [f for f in facets if Fraction(sum(map(mul, f[0], v)), f[1]) == least]
     shared = [
@@ -515,7 +511,7 @@ def test_each_find_costs_one_lp_call_over_its_nearest_facet(I):
     # the generators on all the facets nearest a find, cut to the rows
     # they can exceed, confirms it at once
     assume(newton._halfspace_profile(I.generators, I.dim) is None)
-    assert newton._facets(I.generators, I.dim)[1]
+    assert all(on is not None for _, _, on in newton._facets(I.generators, I.dim))
     with pytest.MonkeyPatch.context() as mp:
         calls = lp_calls(mp)
         C = closure(I)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -409,29 +410,47 @@ def brute_facets(gens, dim):
 # being adjacent: joining them would add a ray that is no vertex of Q
 @example(MonomialIdeal(5, ((0, 1, 2, 3, 2), (0, 3, 2, 3, 0), (1, 2, 4, 0, 4), (2, 2, 1, 2, 2))))
 def test_facets_match_a_brute_force_vertex_enumeration(I):
-    facets, complete = _facets(I.generators, I.dim)
-    assert complete
+    facets = _facets(I.generators, I.dim)
     assert [(nums, den) for nums, den, _ in facets] == brute_facets(I.generators, I.dim)
     # the generators on each facet, read off its ray's tight set, are those
-    # whose dot product with it is exactly its denominator
+    # whose dot product with it is exactly its denominator: bit j of its
+    # mask for generator j
     for nums, den, on in facets:
-        assert list(on) == [a for a in I.generators if sum(map(mul, nums, a)) == den]
+        on_facet = [sum(map(mul, nums, a)) == den for a in I.generators]
+        assert on == sum(1 << j for j, ok in enumerate(on_facet) if ok)
 
 
 @given(proper_ideal(max_dim=5, max_coord=5, max_gens=6))
 @settings(max_examples=60, deadline=None)
 def test_facets_are_valid_and_shared_with_the_closure(I):
-    facets, complete = _facets(I.generators, I.dim)
-    assert facets and complete
-    for nums, den, _ in facets:
+    facets = _facets(I.generators, I.dim)
+    assert facets
+    for nums, den, on in facets:
+        assert on is not None
         assert den > 0 and min(nums) >= 0
         assert math.gcd(*nums, den) == 1
         for a in I.generators:
             assert sum(map(mul, nums, a)) >= den
     C = closure(I)
-    closed, complete = _facets(C.generators, C.dim)
-    assert complete
+    closed = _facets(C.generators, C.dim)
+    assert all(on is not None for _, _, on in closed)
     assert [f[:2] for f in closed] == [f[:2] for f in facets]
+
+
+def test_facets_stop_on_work_alone():
+    # a random 10-variable ideal (27 vectors in 0..5, 26 minimal
+    # generators) whose DD passes DD_MAX_WORK long before it finishes: the
+    # list is partial, no facet is marked with its generators, and every
+    # facet kept is valid
+    rng = random.Random(0)
+    I = MonomialIdeal(10, tuple(tuple(rng.randint(0, 5) for _ in range(10)) for _ in range(27)))
+    assert len(I.generators) == 26
+    facets = _facets(I.generators, I.dim)
+    assert len(facets) == 594
+    for nums, den, on in facets:
+        assert on is None
+        assert den > 0 and min(nums) >= 0
+        assert all(sum(map(mul, nums, a)) >= den for a in I.generators)
 
 
 @st.composite
@@ -459,7 +478,7 @@ def test_scan_oracle_decides_as_max_weight_lp(case):
             nums, den = sep
             assert min(nums) >= 0 and sum(map(mul, nums, v)) < den
             assert all(k * sum(map(mul, nums, a)) >= den for a in I.generators)
-            facets = _facets(I.generators, I.dim)[0]
+            facets = _facets(I.generators, I.dim)
             least = min(Fraction(sum(map(mul, n, v)), d) for n, d, _ in facets)
             assert Fraction(k * sum(map(mul, nums, v)), den) == least
     assert [member(v) for v in reversed(points)] == answers[::-1]
