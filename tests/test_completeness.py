@@ -402,30 +402,37 @@ def test_is_normal_finds_the_facets_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "I, cap, kept, solves",
-    [
-        (LP_MID_WALK, 0, 0, 6),
-        (LP_MID_WALK, 8, 1, 5),
-        (LP_MID_WALK, 20, 2, 4),
-        (CYCLIC_4, 0, 0, 19),
-        (CYCLIC_4, 40, 2, 17),
-        (CYCLIC_4, 83, 6, 13),
-    ],
-    ids=[
-        "lp-mid-walk-none",
-        "lp-mid-walk-some",
-        "lp-mid-walk",
-        "cyclic-4-none",
-        "cyclic-4",
-        "cyclic-4-some",
-    ],
+    [(LP_MID_WALK, 0, 0, 6), (LP_MID_WALK, 8, 1, 5), (CYCLIC_4, 0, 0, 19), (CYCLIC_4, 83, 6, 13)],
+    ids=["lp-mid-walk-none", "lp-mid-walk-some", "cyclic-4-none", "cyclic-4-some"],
+)
+def test_closure_from_a_capped_facet_list_matches_brute_force(
+    I, cap, kept, solves, monkeypatch
+):
+    # DD stops with none or only some of the facets, none of them marked
+    # with its generators; the LP over every generator decides each point
+    # they pass, and its "outside" separators join the scan's cache
+    check_closure_from_a_truncated_facet_list(I, cap, kept, solves, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "I, cap, kept, solves",
+    [(LP_MID_WALK, 20, 2, 4), (CYCLIC_4, 40, 2, 17)],
+    ids=["lp-mid-walk", "cyclic-4"],
 )
 def test_closure_from_a_facet_list_cut_short_by_work_matches_brute_force(
     I, cap, kept, solves, monkeypatch
 ):
     # DD stops once its adjacency tests have scanned more than DD_MAX_WORK
-    # rays, with none or only some of the facets, none of them marked with
-    # its generators; the LP over every generator decides each point they
-    # pass, and its "outside" separators join the scan's cache
+    # rays, with a handful of rays
+    check_closure_from_a_truncated_facet_list(I, cap, kept, solves, monkeypatch)
+
+
+def check_closure_from_a_truncated_facet_list(I, cap, kept, solves, monkeypatch):
+    """Closure and normality with DD_MAX_WORK at ``cap``.
+
+    DD keeps ``kept`` facets, all unmarked, and the scan asks the LP over
+    every generator ``solves`` times.
+    """
     full = newton._facets(I.generators, I.dim)
     assert all(on is not None for _, _, on in full)
     normal = is_normal(closure(I))
