@@ -11,15 +11,29 @@ question asked of it is whether the optimum reaches a given threshold.  It
 has one entry point, ``max_weight_lp``, which answers each query from
 scratch with a certificate either way.  The slack basis is feasible from
 the start (no phase one), Bland's smallest-index rule rules out cycling,
-and all arithmetic is on ``Fraction``.
+and all arithmetic is exact.
 
-The tableau carries the objective as one more row: the reduced costs of
-every column, then the objective value.  Each pivot eliminates that row
-like the others, so nothing is recomputed per iteration: Bland's entering
-column is the row's first negative entry (basic columns read exactly 0),
-the threshold step reads its rate and the current objective off it, and at
-the optimum its slack block is the dual.  The pivot touches only the
-nonzero entries of the pivot row, which the slack block makes sparse.
+The tableau is condensed (the dictionary form of Chvatal, "Linear
+Programming", 1983): one row per basic variable and one column per nonbasic
+variable, then the right-hand side, with no identity block for the basis.
+Variables 0..len(columns)-1 are the columns, and len(columns) + i is the
+slack of row i; two label lists say which variable each row and each column
+holds, and a pivot swaps the labels of the entering and leaving variables.
+The objective is one more row, last: the reduced costs of the nonbasic
+variables, then the objective value.  Each pivot eliminates it like the
+others, so Bland's entering variable is the nonbasic one of least label
+with a negative entry there, the threshold step reads its rate and the
+current objective off it, and at the optimum the dual y_i is the entry of
+slack i's column (0 while slack i is basic).
+
+The tableau starts from the data as given, usually ints, and only a pivot
+divides, by multiplying with the inverse of the pivot as a ``Fraction``.
+So the ratio test and the threshold test compare quotients by
+cross-multiplying (every divisor is positive), since dividing two ints
+would give a float; only the final partial step and the returned weights,
+separator and optimum are formed as ``Fraction``s.  Integer-preserving
+pivots (Bareiss, Math. Comp. 22, 1968) would keep every entry an int, but
+they wait on the benchmark's memory growth with the pass count (ROADMAP).
 
 Two refinements matter to callers:
 
@@ -54,66 +68,72 @@ def max_weight_lp(columns, target, threshold=1):
     if thr <= 0:
         return "inside", {}
 
-    ncols = ngens + n
-    # Rows 0..n-1 are [A | I | target]; row n is the objective row: the
-    # reduced costs, then the objective value.
-    tab = []
-    for i in range(n):
-        row = [Fraction(columns[j][i]) for j in range(ngens)]
-        row.extend(_ONE if t == i else _ZERO for t in range(n))
-        row.append(Fraction(target[i]))
-        tab.append(row)
-    cost = [-_ONE] * ngens + [_ZERO] * (n + 1)
+    # Rows 0..n-1 are [A | target] at the slack basis; row n is the
+    # objective row.  Column ngens holds the right-hand side.
+    tab = [[a[i] for a in columns] + [target[i]] for i in range(n)]
+    cost = [-1] * ngens + [0]
     tab.append(cost)
-    basis = list(range(ngens, ncols))
+    basis = list(range(ngens, ngens + n))
+    nonbasic = list(range(ngens))
 
     while True:
-        # Entering column: smallest index with negative reduced cost (Bland).
-        for enter in range(ncols):
-            if cost[enter] < 0:
-                break
-        else:
-            # Optimal below threshold: the slack block is the dual.
-            return "outside", tuple(cost[ngens:ncols]), cost[ncols]
+        # Entering column: least variable with negative reduced cost (Bland).
+        enter = -1
+        for j in range(ngens):
+            if cost[j] < 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
+                enter = j
+        if enter < 0:
+            # Optimal below threshold: the slack columns hold the dual.  A
+            # pivot put each of them there, so their entries are Fractions;
+            # the objective stays an int 0 if every pivot was degenerate.
+            sep = [_ZERO] * n
+            for j, var in enumerate(nonbasic):
+                if var >= ngens:
+                    sep[var - ngens] = cost[j]
+            return "outside", tuple(sep), Fraction(cost[ngens])
 
-        piv_row = -1
-        theta_max = None
+        # Ratio test: least rhs / d over d > 0, ties to the least basic
+        # variable; (pb, pd) is the pivot row's pair.
+        piv = -1
         for i in range(n):
             d = tab[i][enter]
             if d > 0:
-                ratio = tab[i][ncols] / d
-                if (
-                    theta_max is None
-                    or ratio < theta_max
-                    or (ratio == theta_max and basis[i] < basis[piv_row])
-                ):
-                    theta_max = ratio
-                    piv_row = i
+                b = tab[i][ngens]
+                if piv < 0:
+                    piv, pb, pd = i, b, d
+                    continue
+                lo, hi = b * pd, pb * d
+                if lo < hi or (lo == hi and basis[i] < basis[piv]):
+                    piv, pb, pd = i, b, d
 
         # The objective climbs at rate -cost[enter]; if the threshold falls
         # within this step (always true when the column is unbounded), stop
         # at it exactly instead of pivoting through.
-        theta_need = (thr - cost[ncols]) / -cost[enter]
-        if theta_max is None or theta_need <= theta_max:
+        rate = -cost[enter]
+        gap = thr - cost[ngens]
+        if piv < 0 or gap * pd <= pb * rate:
+            theta = gap / rate
             weights = {}
             for i in range(n):
                 if basis[i] < ngens:
-                    w = tab[i][ncols] - theta_need * tab[i][enter]
+                    w = tab[i][ngens] - theta * tab[i][enter]
                     if w:
                         weights[basis[i]] = w
-            if enter < ngens and theta_need:
-                weights[enter] = weights.get(enter, _ZERO) + theta_need
+            if nonbasic[enter] < ngens and theta:
+                weights[nonbasic[enter]] = theta
             return "inside", weights
 
-        # the slack block leaves most pivot-row entries zero
-        prow = tab[piv_row]
-        nonzero = [j for j, x in enumerate(prow) if x]
-        pd = prow[enter]
+        # Pivot, touching only the pivot row's nonzero entries.
+        prow = tab[piv]
+        inv = _ONE / pd
+        nonzero = [j for j, x in enumerate(prow) if x and j != enter]
         for j in nonzero:
-            prow[j] /= pd
+            prow[j] = inv * prow[j]
+        prow[enter] = inv
         for i, row in enumerate(tab):
             f = row[enter]
-            if f and i != piv_row:
+            if f and i != piv:
                 for j in nonzero:
-                    row[j] -= f * prow[j]
-        basis[piv_row] = enter
+                    row[j] -= prow[j] * f
+                row[enter] = inv * -f
+        basis[piv], nonbasic[enter] = nonbasic[enter], basis[piv]
