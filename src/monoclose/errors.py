@@ -14,4 +14,5 @@ class DegenerateIdealError(ValueError):
 
 
 class GeneratorBudgetError(RuntimeError):
-    """An enumeration would produce more generators than the configured cap."""
+    """A computation would pass a size cap: more generators than its budget,
+    or a scan or bitset larger than the fixed limit of its module."""

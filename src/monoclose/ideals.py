@@ -30,6 +30,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_count(name: str, value):
+    """Refuse ``value`` unless it is an int of at least 1: every count the
+    library takes (a dimension, a power, a budget, an exponent) passes here."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _check_vector(v, dim: int) -> Vector:
     t = tuple(v)
     if len(t) != dim:
@@ -56,10 +65,7 @@ class MonomialIdeal:
     generators: tuple[Vector, ...] = field(default=())
 
     def __post_init__(self):
-        if not _is_int(self.dim):
-            raise ValueError(f"ambient dimension must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ValueError("ambient dimension must be >= 1")
+        _require_count("ambient dimension", self.dim)
         gens = [_check_vector(g, self.dim) for g in self.generators]
         object.__setattr__(
             self, "generators", tuple(kernels.minimal_antichain(gens))
@@ -124,10 +130,7 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     minimalized.  In 1-D and 2-D the sums are already the minimal
     generators, so they are returned as they are.
     """
-    if not _is_int(k):
-        raise ValueError(f"power requires an integer k, got {k!r}")
-    if k < 1:
-        raise ValueError(f"power requires k >= 1, got {k}")
+    _require_count("k", k)
     gens = I.generators
     for _ in range(k - 1):
         gens = kernels.pair_sums_antichain(gens, I.generators)

@@ -34,7 +34,7 @@ from operator import mul
 
 from . import kernels
 from .errors import DegenerateIdealError, GeneratorBudgetError
-from .ideals import MonomialIdeal, _check_vector, _is_int
+from .ideals import MonomialIdeal, _check_vector, _is_int, _require_count
 from .simplex import max_weight_lp
 
 INSIDE = "inside"
@@ -89,13 +89,9 @@ def _require_proper(I: MonomialIdeal, op: str):
 
 
 def _require_budget(max_generators):
-    # one meaning for every entry point: None, or an int cap of at least 1
-    if max_generators is None:
-        return
-    if not _is_int(max_generators):
-        raise ValueError(f"max_generators must be an integer, got {max_generators!r}")
-    if max_generators < 1:
-        raise ValueError(f"max_generators must be at least 1, got {max_generators}")
+    # one meaning for every entry point: None, or a count
+    if max_generators is not None:
+        _require_count("max_generators", max_generators)
 
 
 def _require_exponents(alpha, what="pure-power exponents"):
@@ -104,10 +100,7 @@ def _require_exponents(alpha, what="pure-power exponents"):
     if not alpha:
         raise ValueError(f"{what} must not be empty")
     for a in alpha:
-        if not _is_int(a):
-            raise ValueError(f"{what} must be integers, got {a!r}")
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"{what} must all be >= 1")
+        _require_count(f"each of the {what}", a)
     return alpha
 
 
@@ -153,16 +146,16 @@ def _facets(gens, dim):
     by degree, joining each positive/negative pair of rays that no third
     ray's tight set covers.  Rays stay gcd-reduced integers, each a
     nonnegative combination of the unit rays; a tight set is a bitmask with
-    bit i for the i-th coordinate of (y, t) and bit n + 1 + s for the
-    generator cut at step s.  A ray joined from p and q is positive on an
-    earlier cut exactly where p or q is, so tight sets are exact.
+    bit i for the i-th coordinate of (y, t) and bit n + 1 + j for
+    ``gens[j]``.  A ray joined from p and q is positive on an earlier cut
+    exactly where p or q is, so tight sets are exact.
 
     Returns the facets as sorted (nums, den, on) triples.  A finished run's
     rays meet every cut, so its facets are the rays with t > 0, and ``on``
     is the int bitmask of the generators on each (nums . a = den), bit j for
-    ``gens[j]``, read off its ray's tight set.  The run stops early once its
-    adjacency tests have scanned more than ``DD_MAX_WORK`` rays in all (each
-    test scans every current ray, so a step costs up to
+    ``gens[j]``: its ray's tight set shifted down by n + 1.  The run stops
+    early once its adjacency tests have scanned more than ``DD_MAX_WORK``
+    rays in all (each test scans every current ray, so a step costs up to
     plus * minus * rays even when few pairs are adjacent).  The list is
     then partial, possibly empty: it keeps only the rays with t > 0 and
     a_j . y >= t for every generator, each with ``on`` None, since its
@@ -174,11 +167,10 @@ def _facets(gens, dim):
             for k in range(d)]
     # the generator indices in cut order: fewest nonzero coordinates first
     order = sorted(range(len(gens)), key=lambda j: (dim - gens[j].count(0), sum(gens[j])))
-    bits = [0] * len(gens)  # each generator's tight-set bit, in gens order
     work = 0  # rays scanned by the adjacency tests so far
-    for step, j in enumerate(order):
+    for j in order:
         a = gens[j]
-        bits[j] = bit = 1 << (d + step)
+        bit = 1 << (d + j)
         plus, minus, cut = [], [], []
         for r, z in rays:
             s = sum(map(mul, a, r)) - r[dim]
@@ -208,11 +200,7 @@ def _facets(gens, dim):
                 for r, _ in rays
                 if r[dim] > 0 and all(sum(map(mul, a, r)) >= r[dim] for a in gens)
             )
-    return sorted(
-        (r[:dim], r[dim], sum(1 << j for j, b in enumerate(bits) if z & b))
-        for r, z in rays
-        if r[dim] > 0
-    )
+    return sorted((r[:dim], r[dim], z >> d) for r, z in rays if r[dim] > 0)
 
 
 def _scan_oracle(gens, dim):

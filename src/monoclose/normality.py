@@ -27,7 +27,7 @@ from math import gcd, lcm
 
 from . import kernels
 from .errors import GeneratorBudgetError
-from .ideals import MonomialIdeal, _is_int
+from .ideals import MonomialIdeal, _require_count
 from .newton import (
     _missing_generators,
     _require_budget,
@@ -407,16 +407,13 @@ def quasinormality_check(alpha, bound: int) -> QuasinormalityVerdict:
                 raise ValueError(
                     f"entries must be pairwise coprime, got {alpha[i]} and {alpha[j]}"
                 )
-    if not _is_int(bound):
-        raise ValueError(f"bound must be an integer, got {bound!r}")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    _require_count("bound", bound)
 
     base = lcm(*alpha)
     limit = bound * base
     bits = (bound + 1) * (limit + 1)
     if bits > QUASINORMAL_MAX_BITS:
-        raise ValueError(
+        raise GeneratorBudgetError(
             f"quasinormality scan needs {bits} bits of bitmasks, "
             f"more than the limit of {QUASINORMAL_MAX_BITS}; lower the bound"
         )

@@ -22,17 +22,11 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GeneratorBudgetError
-from .ideals import MonomialIdeal, _is_int, power
+from .ideals import MonomialIdeal, _is_int, _require_count, power
 from .newton import _require_budget, closure, pure_power_member
 from .normality import _diag_ideal, is_normal
 
 DEFAULT_F_BUDGET = 10**6
-
-
-def _require_positive(**values):
-    for name, value in values.items():
-        if not _is_int(value) or value < 1:
-            raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,8 @@ class TwoExponentSpec:
     k: int = 1
 
     def __post_init__(self):
-        _require_positive(m=self.m, n=self.n, s=self.s, l=self.l, k=self.k)
+        for name in ("m", "n", "s", "l", "k"):
+            _require_count(name, getattr(self, name))
         if self.l < self.s:
             raise ValueError(
                 f"l must be >= s (swap the blocks): got s={self.s}, l={self.l}"
@@ -98,11 +93,11 @@ class TwoExponentReport:
 
 
 def lambda_ceil(a: int, s: int, l: int) -> int:
-    """ceil(a*l/s) in integer arithmetic."""
-    if a < 0:
-        raise ValueError(f"lambda index must be >= 0, got {a}")
-    if s < 1 or l < 1:
-        raise ValueError("s and l must be positive")
+    """ceil(a*l/s) in integer arithmetic, for an int a >= 0."""
+    if not _is_int(a) or a < 0:
+        raise ValueError(f"lambda index must be an integer >= 0, got {a!r}")
+    _require_count("s", s)
+    _require_count("l", l)
     return (a * l + s - 1) // s
 
 
@@ -112,7 +107,8 @@ def check_lambda_inequality(s: int, l: int, k: int) -> list[LambdaWitness]:
     Runs over every i in 0..ks and returns all evaluations; any violation
     raises immediately since it would mean the arithmetic itself is broken.
     """
-    _require_positive(s=s, l=l, k=k)
+    for name, value in (("s", s), ("l", l), ("k", k)):
+        _require_count(name, value)
     if l < s:
         raise ValueError("requires l >= s")
     ks = k * s

@@ -167,7 +167,7 @@ def test_power_requires_positive_exponent():
 
 @pytest.mark.parametrize("k", [True, 2.5])
 def test_power_refuses_a_non_integer_exponent(k):
-    with pytest.raises(ValueError, match="^power requires an integer k, got "):
+    with pytest.raises(ValueError, match="^k must be an integer, got "):
         power(MonomialIdeal(2, ((2, 0), (0, 3))), k)
 
 

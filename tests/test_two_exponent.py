@@ -29,10 +29,10 @@ def test_lambda_ceil_is_exact_ceiling(a, s, l):
 
 
 def test_lambda_ceil_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lambda_ceil(-1, 2, 3)
-    with pytest.raises(ValueError):
-        lambda_ceil(1, 0, 3)
+    # integer arithmetic only: no float or bool passes for an int
+    for args in ((-1, 2, 3), (1, 0, 3), (1.5, 2, 3), (2, 2.0, 3), (2, 2, 3.5), (True, 2, 3)):
+        with pytest.raises(ValueError):
+            lambda_ceil(*args)
 
 
 @given(st.integers(1, 8), st.integers(1, 14), st.integers(0, 60), st.integers(0, 60))
@@ -93,7 +93,7 @@ def test_spec_validation():
     ((1, 1, 2.5, 7), "s"),
 ])
 def test_spec_refuses_non_integer_parameters(args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         TwoExponentSpec(*args)
 
 
@@ -102,7 +102,7 @@ def test_spec_refuses_non_integer_parameters(args, name):
     ((2, 3, 1.0), "k"),
 ])
 def test_lambda_inequality_refuses_bad_parameters(args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+    with pytest.raises(ValueError, match=f"^{name} must be (at least 1|an integer), got "):
         check_lambda_inequality(*args)
 
 
