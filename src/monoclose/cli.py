@@ -29,7 +29,6 @@ import sys
 import time
 import traceback
 from dataclasses import replace
-from fractions import Fraction
 
 from . import __version__
 from .errors import GeneratorBudgetError
@@ -71,7 +70,7 @@ def parse_vector(text: str) -> tuple[int, ...]:
         raise ValueError("empty exponent vector")
     out = []
     for p in parts:
-        if not p or not p.isdigit():
+        if not p or not p.isdecimal():
             raise ValueError(f"exponents must be nonnegative integers, got {p!r}")
         out.append(int(p))
     return tuple(out)
@@ -88,10 +87,6 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
 def format_vector(v) -> str:
     return ",".join(str(c) for c in v)
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _vec_list(gens) -> list:
@@ -141,11 +136,11 @@ def _membership_certificate(verdict) -> dict:
     if verdict.is_inside:
         return {
             "type": "inside_weights",
-            "weights": [[j, _frac(w)] for j, w in verdict.inside_weights],
+            "weights": [[j, str(w)] for j, w in verdict.inside_weights],
         }
     return {
         "type": "outside_separator",
-        "separator": [_frac(c) for c in verdict.outside_separator],
+        "separator": [str(c) for c in verdict.outside_separator],
     }
 
 
@@ -194,7 +189,7 @@ def _cmd_member(args, run: _Run) -> int:
                 + f", slack {format_vector(wit.slack)}"
             )
         return 0
-    sep = " ".join(_frac(c) for c in verdict.outside_separator)
+    sep = " ".join(map(str, verdict.outside_separator))
     run.text(f"separator: {sep}")
     return 1
 
@@ -282,7 +277,7 @@ def _cmd_quasinormal(args, run: _Run) -> int:
     if verdict.verdict == QUASINORMAL_UP_TO_BOUND:
         return 0
     x, p = verdict.witness
-    run.witnesses.append({"type": "quasinormality", "x": _frac(x), "p": p})
+    run.witnesses.append({"type": "quasinormality", "x": str(x), "p": p})
     run.text(f"witness: x = {x}, p = {p}")
     return 1
 

@@ -267,15 +267,14 @@ def box_closure_scan(bounds, seeds, member, limit=None):
     ``seeds``: points already known to be in the region (their multiples are
     skipped without consulting ``member``), in any order; they need not be
     an antichain, and only the ideal they generate matters.
-    ``member(v)``: exact membership oracle, answering membership only.
-    Returns ``(True, None)`` for a region point and ``(False, sep)`` for any
-    other; ``sep`` is either ``None`` or an integer-scaled separating
-    functional ``(nums, den)`` proving ``sum(nums*u) < den`` for u = v and
-    ``>= den`` for every point of the region (so ``nums >= 0``, the region
-    being up-closed).  Separators are cached and reused so the oracle is
-    only consulted when no cached separator excludes the point.  The finds
-    do not depend on which separators the oracle returns, only on its exact
-    verdicts.
+    ``member(v)``: exact membership oracle.  Returns ``(True, None)`` for a
+    region point and ``(False, sep)`` for any other, where every ``sep`` is
+    an integer-scaled separating functional ``(nums, den)`` proving
+    ``sum(nums*u) < den`` for u = v and ``>= den`` for every point of the
+    region (so ``nums >= 0``, the region being up-closed).  Separators are
+    cached and reused so the oracle is only consulted when no cached
+    separator excludes the point.  The finds do not depend on which
+    separators the oracle returns, only on its exact verdicts.
     ``limit``: optional positive number of finds after which the scan
     stops, asking the oracle nothing further; None scans the whole box.
     The find that reaches it ends its row, and the walk returns from every
@@ -363,13 +362,10 @@ def box_closure_scan(bounds, seeds, member, limit=None):
             if inside:
                 found.append(v)
                 return t
-            if sep is None:
-                t += 1
-            else:
-                nums, den = sep
-                entry = (nums[:last], nums[last], den)
-                seps.append(entry)
-                t = first_open(t + 1, end, (entry,))
+            nums, den = sep
+            entry = (nums[:last], nums[last], den)
+            seps.append(entry)
+            t = first_open(t + 1, end, (entry,))
         return None
 
     def walk(d, base):

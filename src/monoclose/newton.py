@@ -19,8 +19,7 @@ read off the tight sets of its rays, unless a cap on its work cut it short.
 When it finished, the facets are the vertices of the LP's dual feasible
 region, so every facet nearest such a point is an optimal dual.  One pass
 over the facets finds the nearest ones and the generators on all of them,
-and the LP runs over only those, cut to the coordinates where one of them,
-times the threshold, exceeds the point.
+and the LP runs over only those.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 
@@ -222,13 +221,11 @@ def _scan_oracle(gens, dim):
     dual of v's LP, and by complementary slackness every optimal weight
     vector lives on the generators in ``shared`` (Schrijver, "Theory of
     Linear and Integer Programming", 1986): the LP over those columns alone
-    reaches the threshold.  It keeps only the rows i where threshold * a_i >
-    v_i for some column a: once the weights sum to the threshold, a dropped
-    row gets at most threshold * max a_i <= v_i.  Should the columns be none
-    or fall short, which a correct list never lets happen, the LP over every
-    generator decides, as it does behind a list that ``_facets`` cut short,
-    whose masks are None.  The member keeps no state, so its answers do not
-    depend on the points asked before.
+    reaches the threshold.  Should the columns be none or fall short, which
+    a correct list never lets happen, the LP over every generator decides,
+    as it does behind a list that ``_facets`` cut short, whose masks are
+    None.  The member keeps no state, so its answers do not depend on the
+    points asked before.
     """
     profile = _halfspace_profile(gens, dim)
     facets = _facets(gens, dim) if profile is None else [profile[:2] + (None,)]
@@ -254,10 +251,7 @@ def _scan_oracle(gens, dim):
                 return True, None
             if shared:
                 columns = [a for j, a in enumerate(gens) if shared >> j & 1]
-                # the rows that some column exceeds at the threshold
-                rows = [x < threshold * max(c) for x, c in zip(v, zip(*columns))]
-                cut = [tuple(compress(a, rows)) for a in columns]
-                if max_weight_lp(cut, tuple(compress(v, rows)), threshold)[0] == INSIDE:
+                if max_weight_lp(columns, v, threshold)[0] == INSIDE:
                     return True, None
             res = max_weight_lp(gens, v, threshold)
             if res[0] == INSIDE:

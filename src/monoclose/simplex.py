@@ -57,16 +57,14 @@ _ONE = Fraction(1)
 def max_weight_lp(columns, target, threshold=1):
     """Decide whether max{sum(mu) : A mu <= target, mu >= 0} >= threshold.
 
-    Returns ``("inside", weights)`` with ``weights`` a dict {column index:
-    positive Fraction} summing to exactly ``threshold``, or
-    ``("outside", separator, optimum)`` with ``separator`` a tuple of
-    nonnegative Fractions.
+    ``threshold`` is positive; every caller passes a power k >= 1.  Returns
+    ``("inside", weights)`` with ``weights`` a dict {column index: positive
+    Fraction} summing to exactly ``threshold``, or ``("outside", separator,
+    optimum)`` with ``separator`` a tuple of nonnegative Fractions.
     """
     n = len(target)
     ngens = len(columns)
     thr = Fraction(threshold)
-    if thr <= 0:
-        return "inside", {}
 
     # Rows 0..n-1 are [A | target] at the slack basis; row n is the
     # objective row.  Column ngens holds the right-hand side.

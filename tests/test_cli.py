@@ -24,9 +24,14 @@ def invoke(*argv):
 
 def test_parse_vector():
     assert parse_vector(" 1, 2 ,3 ") == (1, 2, 3)
+    # int() reads every decimal digit, the Arabic-Indic three among them
+    assert parse_vector("2,\u0663") == (2, 3)
     for bad in ("", "1,,2", "1,-2", "1,x", "1.5"):
         with pytest.raises(ValueError):
             parse_vector(bad)
+    # a superscript two is a digit to isdigit() but not to int()
+    with pytest.raises(ValueError, match="nonnegative integers, got '\u00b2'"):
+        parse_vector("0,\u00b2")
 
 
 def test_parse_ideal():
@@ -359,6 +364,10 @@ def test_error_messages_go_to_stderr():
     out = invoke("closure", "-i", "1,2;1,2,3")
     assert out.stdout == ""
     assert out.stderr == "error: expected a vector of length 2, got 3\n"
+    out = invoke("closure", "-i", "2,0;0,\u00b2")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: exponents must be nonnegative integers, got '\u00b2'\n"
 
 
 def test_version_flag():

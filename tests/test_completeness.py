@@ -81,7 +81,7 @@ def reference_scan(bounds, seeds, member, limit=None, log=None):
             found.append(v)
             if len(found) == limit:
                 break
-        elif sep is not None:
+        else:
             seps.append(sep)
     return found
 
@@ -486,12 +486,12 @@ def test_closure_from_a_wrong_facet_list_matches_brute_force(I, monkeypatch):
     assert any(decision == OUTSIDE for _, _, decision in calls)
 
 
-def confirming_call(I, v, k):
-    """The one LP call that confirms a find v of k NP(I), and its decision.
+def confirming_call(I, v):
+    """The one LP call that confirms a find v of any k NP(I), and its decision.
 
     Its columns are the generators on every facet tied for nearest v, in
-    canonical order, cut to the rows where k a_i > v_i for one of them; its
-    target is v cut to the same rows.  Decided here by dot products alone.
+    canonical order, over every coordinate, and its target is v.  Decided
+    here by dot products alone.
     """
     facets = [f[:2] for f in newton._facets(I.generators, I.dim)]
     least = min(Fraction(sum(map(mul, nums, v)), den) for nums, den in facets)
@@ -500,9 +500,7 @@ def confirming_call(I, v, k):
         a for a in I.generators
         if all(sum(map(mul, nums, a)) == den for nums, den in nearest)
     ]
-    rows = [i for i in range(I.dim) if any(k * a[i] > v[i] for a in shared)]
-    columns = tuple(tuple(a[i] for i in rows) for a in shared)
-    return columns, tuple(v[i] for i in rows), INSIDE
+    return tuple(shared), v, INSIDE
 
 
 @settings(max_examples=100, deadline=None)
@@ -511,19 +509,18 @@ def confirming_call(I, v, k):
 # (2, 2, 2): two facets tie, and only two of the nearest one's three
 # generators lie on both
 @example(MonomialIdeal(3, ((0, 1, 3), (2, 0, 4), (4, 3, 1))))
-# (2, 3, 2, 2): three facets tie, and no generator exceeds it in the last row
+# (2, 3, 2, 2): three facets tie
 @example(MonomialIdeal(4, ((1, 4, 3, 2), (3, 2, 1, 2), (4, 2, 0, 2))))
 def test_each_find_costs_one_lp_call_over_its_nearest_facet(I):
     # a complete facet list decides every outside point, and one LP over
-    # the generators on all the facets nearest a find, cut to the rows
-    # they can exceed, confirms it at once
+    # the generators on all the facets nearest a find confirms it at once
     assume(newton._halfspace_profile(I.generators, I.dim) is None)
     assert all(on is not None for _, _, on in newton._facets(I.generators, I.dim))
     with pytest.MonkeyPatch.context() as mp:
         calls = lp_calls(mp)
         C = closure(I)
     found = sorted(set(C.generators) - set(I.generators))
-    assert calls == [confirming_call(I, v, 1) for v in found]
+    assert calls == [confirming_call(I, v) for v in found]
 
 
 @pytest.mark.parametrize(
@@ -538,7 +535,7 @@ def test_a_find_at_threshold_2_costs_one_lp_call_over_its_nearest_facets(I, monk
     if report.failing_witness is None:
         assert calls == []
     else:
-        assert calls == [confirming_call(I, report.failing_witness, report.failing_power)]
+        assert calls == [confirming_call(I, report.failing_witness)]
 
 
 @st.composite

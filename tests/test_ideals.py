@@ -63,6 +63,11 @@ def test_constructor_rejects_bad_input():
         MonomialIdeal(2, ((1, True),))
     with pytest.raises(ValueError):
         MonomialIdeal(2, ((1, 2.0),))
+    # nor do ideals of two dimensions combine
+    I, J = MonomialIdeal(2, ((1, 2),)), MonomialIdeal(3, ((1, 2, 3),))
+    for combine in (product, intersect):
+        with pytest.raises(DimensionMismatchError):
+            combine(I, J)
 
 
 def test_constructor_refuses_a_non_integer_dimension():

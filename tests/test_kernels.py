@@ -290,15 +290,23 @@ def test_box_scan_finds_minimal_halfspace_points(case):
     assert found == sorted(expected)
 
 
-def test_box_scan_with_seeds_and_no_separator():
-    # dominance-region oracle that never certifies: exercises the
-    # sep-is-None branch and the seed skipping
-    gens = [(0, 3), (2, 1), (4, 0)]
+def test_box_scan_with_seeds_and_a_separator_per_point():
+    # two halfspaces, x + y >= 3 and x + 2y >= 4; each outside point gets
+    # the first one it violates, and the seed (0, 3) is neither found
+    # again nor are its multiples asked about
+    halves = [((1, 1), 3), ((1, 2), 4)]
+    asked = []
 
     def member(v):
-        return (any(all(a <= b for a, b in zip(g, v)) for g in gens), None)
+        asked.append(v)
+        for nums, den in halves:
+            if sum(c * x for c, x in zip(nums, v)) < den:
+                return False, (nums, den)
+        return True, None
 
-    assert kernels.box_closure_scan((6, 6), [(0, 3)], member) == [(2, 1), (4, 0)]
+    found = kernels.box_closure_scan((6, 6), [(0, 3)], member)
+    assert found == [(1, 2), (2, 1), (4, 0)]
+    assert not any(v[1] >= 3 for v in asked)
 
 
 def test_box_scan_budget():

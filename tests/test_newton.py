@@ -163,6 +163,18 @@ def test_tampered_certificates_fail():
     assert not validate_certificate(L, (0, 1), MembershipVerdict(INSIDE, inside_weights=((0, True),)))
     assert validate_certificate(L, (0, 0), MembershipVerdict(OUTSIDE, outside_separator=(1, 1)))
     assert not validate_certificate(L, (0, 0), MembershipVerdict(OUTSIDE, outside_separator=(True, True)))
+    # each decision carries its own certificate and not the other's, and
+    # no other decision validates
+    weights, separator = ((0, 1),), (1, 1)
+    for verdict, v in [
+        (MembershipVerdict(INSIDE), (0, 1)),
+        (MembershipVerdict(INSIDE, weights, separator), (0, 1)),
+        (MembershipVerdict(OUTSIDE), (0, 0)),
+        (MembershipVerdict(OUTSIDE, weights, separator), (0, 0)),
+        (MembershipVerdict("unknown", weights), (0, 1)),
+        (MembershipVerdict("unknown", outside_separator=separator), (0, 0)),
+    ]:
+        assert not validate_certificate(L, v, verdict)
 
 
 def _fraction_validate(I, v, verdict):

@@ -239,6 +239,7 @@ def test_one_variable_is_always_normal():
     report = is_normal(MonomialIdeal(1, ((6,),)))
     assert report.verdict == NORMAL
     assert report.checked_powers == ((1, True),)
+    assert report.failing_power is None
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=3))

@@ -82,6 +82,8 @@ def test_ideal_i_is_pure_powers():
 def test_spec_validation():
     with pytest.raises(ValueError):
         TwoExponentSpec(1, 1, 7, 2)
+    with pytest.raises(ValueError, match="^requires l >= s$"):
+        check_lambda_inequality(3, 2, 1)
     with pytest.raises(ValueError):
         TwoExponentSpec(0, 1, 2, 3)
     with pytest.raises(ValueError):
