@@ -123,13 +123,12 @@ class _Run:
             "version": __version__,
         }
 
-    def emit(self, stream=None):
-        stream = stream or sys.stdout
+    def emit(self):
         if self.as_json:
-            print(json.dumps(self.report()), file=stream)
+            print(json.dumps(self.report()))
         else:
             for line in self.lines:
-                print(line, file=stream)
+                print(line)
 
 
 def _membership_certificate(verdict) -> dict:
@@ -257,14 +256,14 @@ def _normality_output(report, run: _Run) -> int:
 
 
 def _cmd_is_normal(args, run: _Run) -> int:
-    if (args.ideal is None) == (args.alpha is None):
-        raise ValueError("give exactly one of --ideal or --alpha")
     if args.alpha is not None:
         alpha = parse_vector(args.alpha)
         report = pure_power_normality(
             alpha, use_shortcuts=not args.direct, max_generators=args.max_gens
         )
     else:
+        if args.direct:
+            raise ValueError("--direct applies to --alpha only")
         report = is_normal(parse_ideal(args.ideal), args.max_gens)
     return _normality_output(report, run)
 
@@ -388,11 +387,11 @@ def _cmd_repro(args, run: _Run) -> int:
     return 0 if not failures else 1
 
 
-def _add_ideal_arg(p, required=True):
+def _add_ideal_arg(p):
     p.add_argument(
         "-i",
         "--ideal",
-        required=required,
+        required=True,
         help="generator list, e.g. '4,0,0;0,5,0;0,0,7'",
     )
 
@@ -468,15 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_is_closed)
 
     p = sub.add_parser("is-normal", parents=[common], help="decide normality")
-    _add_ideal_arg(p, required=False)
-    p.add_argument(
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("-i", "--ideal", help="generator list, e.g. '4,0,0;0,5,0;0,0,7'")
+    g.add_argument(
         "--alpha",
         help="pure-power exponents; decides the closure of (x_1^a1, ..., x_n^an)",
     )
     p.add_argument(
         "--direct",
         action="store_true",
-        help="skip shortcut criteria, always run the first n-1 powers",
+        help="with --alpha: skip shortcut criteria, always run the first n-1 powers",
     )
     _add_max_gens(p)
     p.set_defaults(func=_cmd_is_normal)

@@ -18,6 +18,7 @@ Python ints, so powers and colon quotients never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from . import kernels
 from .errors import DimensionMismatchError
@@ -110,7 +111,7 @@ def minimalize(candidates, dim: int) -> MonomialIdeal:
 def contains_monomial(I: MonomialIdeal, v) -> bool:
     """Whether x^v lies in I, i.e. some generator divides v."""
     v = _check_vector(v, I.dim)
-    return kernels.dominates_any(I.generators, v)
+    return any(all(map(le, g, v)) for g in I.generators)
 
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

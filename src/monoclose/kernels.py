@@ -1,4 +1,4 @@
-"""The combinatorial hot loops: antichains, pair sums, dominance, box scan.
+"""The combinatorial hot loops: antichains, pair sums and the box scan.
 
 All arithmetic here is on native Python integers, so coordinates and
 separator functionals of any size are exact.
@@ -245,19 +245,6 @@ def _pack(vectors, w):
             key = key << w | c
         keys.append(key)
     return keys
-
-
-def dominates_any(gens, v):
-    """True if some g in gens satisfies g <= v componentwise."""
-    for g in gens:
-        ok = True
-        for a, b in zip(g, v):
-            if a > b:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def box_closure_scan(bounds, seeds, member, limit=None):

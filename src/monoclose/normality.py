@@ -208,13 +208,11 @@ def _lcm_shift_reduce(alpha):
     """Replace the largest entry by its [c, 2c) representative, or None.
 
     c is the lcm of the other entries; normality transfers unchanged in both
-    directions between congruent entries at or above c.
+    directions between congruent entries at or above c.  Only tuples with
+    three distinct entries or more get here: fewer settle as two_exponent.
     """
     i = max(range(len(alpha)), key=lambda t: alpha[t])
-    others = alpha[:i] + alpha[i + 1:]
-    if not others:
-        return None
-    c = lcm(*others)
+    c = lcm(*alpha[:i], *alpha[i + 1:])
     if alpha[i] < 2 * c:
         return None
     beta = c + alpha[i] % c

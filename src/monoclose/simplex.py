@@ -30,8 +30,8 @@ The tableau starts from the data as given, usually ints, and only a pivot
 divides, by multiplying with the inverse of the pivot as a ``Fraction``.
 So the ratio test and the threshold test compare quotients by
 cross-multiplying (every divisor is positive), since dividing two ints
-would give a float; only the final partial step and the returned weights,
-separator and optimum are formed as ``Fraction``s.  Integer-preserving
+would give a float; only the final partial step and the returned weights
+and separator are formed as ``Fraction``s.  Integer-preserving
 pivots (Bareiss, Math. Comp. 22, 1968) would keep every entry an int, but
 they wait on the benchmark's memory growth with the pass count (ROADMAP).
 
@@ -42,8 +42,9 @@ Two refinements matter to callers:
   threshold exactly (this keeps their denominators small, which downstream
   dependence-witness search relies on);
 * when the optimum stays below the threshold, the terminal dual vector is
-  returned.  It is nonnegative, satisfies y . a_j >= 1 for every column and
-  y . v = optimum, i.e. it is an exact separating functional.
+  returned, and the optimum only through it: y is nonnegative, satisfies
+  y . a_j >= 1 for every column and y . v = optimum, i.e. it is an exact
+  separating functional.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def max_weight_lp(columns, target, threshold=1):
 
     ``threshold`` is positive; every caller passes a power k >= 1.  Returns
     ``("inside", weights)`` with ``weights`` a dict {column index: positive
-    Fraction} summing to exactly ``threshold``, or ``("outside", separator,
-    optimum)`` with ``separator`` a tuple of nonnegative Fractions.
+    Fraction} summing to exactly ``threshold``, or ``("outside", separator)``
+    with ``separator`` a tuple of nonnegative Fractions whose dot product
+    with ``target`` is the optimum, below ``threshold``.
     """
     n = len(target)
     ngens = len(columns)
@@ -82,13 +84,12 @@ def max_weight_lp(columns, target, threshold=1):
                 enter = j
         if enter < 0:
             # Optimal below threshold: the slack columns hold the dual.  A
-            # pivot put each of them there, so their entries are Fractions;
-            # the objective stays an int 0 if every pivot was degenerate.
+            # pivot put each of them there, so their entries are Fractions.
             sep = [_ZERO] * n
             for j, var in enumerate(nonbasic):
                 if var >= ngens:
                     sep[var - ngens] = cost[j]
-            return "outside", tuple(sep), Fraction(cost[ngens])
+            return "outside", tuple(sep)
 
         # Ratio test: least rhs / d over d > 0, ties to the least basic
         # variable; (pb, pd) is the pivot row's pair.

@@ -179,21 +179,32 @@ def test_criterion_5_lambda_inequality(capsys):
 
 
 def _solve_square(rows, rhs):
-    # Gaussian elimination over Fractions; None when singular
+    """Solve the square integer system exactly; None when it is singular.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each step
+    scales a row by the pivot and divides exactly by the previous pivot, so
+    every entry stays an int and the last pivot is the determinant d up to
+    sign.  By Cramer's rule d * x is integral, so back-substitution finds
+    it with exact int divisions too.
+    """
     m = len(rows)
     M = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    prev = 1
     for col in range(m):
-        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
+        piv = next((r for r in range(col, m) if M[r][col]), None)
         if piv is None:
             return None
         M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
-        for r in range(m):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][m] for r in range(m)]
+        p = M[col][col]
+        for r in range(col + 1, m):
+            f = M[r][col]
+            M[r] = [(p * a - f * b) // prev for a, b in zip(M[r], M[col])]
+        prev = p
+    dx = [0] * m
+    for r in range(m - 1, -1, -1):
+        s = prev * M[r][m] - sum(M[r][j] * dx[j] for j in range(r + 1, m))
+        dx[r] = s // M[r][r]
+    return [Fraction(y, prev) for y in dx]
 
 
 def rational_feasible(gens, v):
@@ -205,12 +216,9 @@ def rational_feasible(gens, v):
     nonnegative point.  Complete, independent of the simplex code.
     """
     c, n = len(gens), len(v)
-    cols = [[Fraction(g[i]) for i in range(n)] + [Fraction(1)] for g in gens]
-    cols += [
-        [Fraction(1 if r == i else 0) for r in range(n)] + [Fraction(0)]
-        for i in range(n)
-    ]
-    rhs = [Fraction(x) for x in v] + [Fraction(1)]
+    cols = [[*g, 1] for g in gens]
+    cols += [[int(r == i) for r in range(n)] + [0] for i in range(n)]
+    rhs = [*v, 1]
     for basis in itertools.combinations(range(c + n), n + 1):
         rows = [[cols[j][r] for j in basis] for r in range(n + 1)]
         sol = _solve_square(rows, rhs)

@@ -308,8 +308,19 @@ def test_colon_and_intersect_and_power():
 
 def test_usage_errors_exit_two():
     assert invoke("closure", "-i", "1,2;1,2,3").returncode == 2
-    assert invoke("is-normal").returncode == 2
-    assert invoke("is-normal", "-i", "1,0", "--alpha", "1,1").returncode == 2
+    # is-normal takes one of -i and --alpha, and --direct only with --alpha
+    for argv, text in [
+        ((), "error: one of the arguments -i/--ideal --alpha is required"),
+        (("-i", "1,0", "--alpha", "1,1"), "not allowed with argument -i/--ideal"),
+    ]:
+        out = invoke("is-normal", *argv)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert text in out.stderr
+    out = invoke("is-normal", "-i", "4,0;0,5", "--direct")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: --direct applies to --alpha only\n"
     assert invoke("member", "-i", IDEAL_457).returncode == 2
     assert invoke("nonsense").returncode == 2
     assert invoke("power", "-i", "1,0", "-k", "0").returncode == 2
