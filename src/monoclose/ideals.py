@@ -21,9 +21,12 @@ from dataclasses import dataclass, field
 from operator import le
 
 from . import kernels
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, GeneratorBudgetError
 
 Vector = tuple[int, ...]
+
+# Largest k that ``power`` accepts; see its docstring.
+POWER_MAX_K = 10**5
 
 
 def _is_int(x) -> bool:
@@ -130,8 +133,20 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     up; the next step takes them as they are, and only the last ones are
     minimalized.  In 1-D and 2-D the sums are already the minimal
     generators, so they are returned as they are.
+
+    A k over ``POWER_MAX_K`` raises GeneratorBudgetError before the first
+    pair sum.  The k-th power of a non-principal ideal has at least k + 1
+    minimal generators: take a bounded edge of NP(I) whose supporting
+    functional is positive; k times it is an edge of k*NP(I) = NP(I^k), and
+    its k + 1 lattice points k*g, (k-1)*g + h, ..., k*h (g, h the
+    generators at its ends) are all minimal generators of I^k.  So every
+    refused power has more generators than the CLI's default budget of
+    10^5.  A principal ideal's power is one generator, but it still takes
+    k - 1 steps, so the same cap bounds it.
     """
     _require_count("k", k)
+    if k > POWER_MAX_K:
+        raise GeneratorBudgetError(f"power {k} is over the cap of {POWER_MAX_K} on k")
     gens = I.generators
     for _ in range(k - 1):
         gens = kernels.pair_sums_antichain(gens, I.generators)

@@ -28,12 +28,15 @@ slack i's column (0 while slack i is basic).
 
 The tableau starts from the data as given, usually ints, and only a pivot
 divides, by multiplying with the inverse of the pivot as a ``Fraction``.
-So the ratio test and the threshold test compare quotients by
-cross-multiplying (every divisor is positive), since dividing two ints
-would give a float; only the final partial step and the returned weights
-and separator are formed as ``Fraction``s.  Integer-preserving
-pivots (Bareiss, Math. Comp. 22, 1968) would keep every entry an int, but
-they wait on the benchmark's memory growth with the pass count (ROADMAP).
+Every decision reads ints: an entry is an int or a ``Fraction``, and both
+have ``.numerator`` and ``.denominator`` (the latter positive).  So the
+entering scan and the ratio test take signs off numerators, and the ratio
+and threshold tests compare quotients by cross-multiplying numerators and
+denominators, building no ``Fraction`` to throw away.  Only the pivots, the
+final partial step and the returned weights and separator form
+``Fraction``s.  Integer-preserving pivots (Bareiss, Math. Comp. 22, 1968)
+would keep every entry an int, but they wait on the benchmark's memory
+growth with the pass count (ROADMAP).
 
 Two refinements matter to callers:
 
@@ -66,7 +69,6 @@ def max_weight_lp(columns, target, threshold=1):
     """
     n = len(target)
     ngens = len(columns)
-    thr = Fraction(threshold)
 
     # Rows 0..n-1 are [A | target] at the slack basis; row n is the
     # objective row.  Column ngens holds the right-hand side.
@@ -80,7 +82,7 @@ def max_weight_lp(columns, target, threshold=1):
         # Entering column: least variable with negative reduced cost (Bland).
         enter = -1
         for j in range(ngens):
-            if cost[j] < 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
+            if cost[j].numerator < 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
                 enter = j
         if enter < 0:
             # Optimal below threshold: the slack columns hold the dual.  A
@@ -92,26 +94,35 @@ def max_weight_lp(columns, target, threshold=1):
             return "outside", tuple(sep)
 
         # Ratio test: least rhs / d over d > 0, ties to the least basic
-        # variable; (pb, pd) is the pivot row's pair.
+        # variable; (pb, pd) is the pivot row's pair.  b / d < pb / pd
+        # cross-multiplied by all four (positive) denominators.
         piv = -1
         for i in range(n):
             d = tab[i][enter]
-            if d > 0:
+            if d.numerator > 0:
                 b = tab[i][ngens]
                 if piv < 0:
                     piv, pb, pd = i, b, d
                     continue
-                lo, hi = b * pd, pb * d
+                lo = b.numerator * d.denominator * pd.numerator * pb.denominator
+                hi = pb.numerator * pd.denominator * d.numerator * b.denominator
                 if lo < hi or (lo == hi and basis[i] < basis[piv]):
                     piv, pb, pd = i, b, d
 
-        # The objective climbs at rate -cost[enter]; if the threshold falls
-        # within this step (always true when the column is unbounded), stop
-        # at it exactly instead of pivoting through.
-        rate = -cost[enter]
-        gap = thr - cost[ngens]
-        if piv < 0 or gap * pd <= pb * rate:
-            theta = gap / rate
+        # The objective z = cost[ngens] climbs at rate rn / rd =
+        # -cost[enter]; if the threshold falls within this step (always
+        # true when the column is unbounded), stop at it exactly instead of
+        # pivoting through.  The gap to it is gn / z.denominator, positive
+        # since z stays below the threshold, and the test
+        # gap * pd <= pb * rate is cross-multiplied like the ratio test.
+        rn, rd = -cost[enter].numerator, cost[enter].denominator
+        z = cost[ngens]
+        gn = threshold * z.denominator - z.numerator
+        if piv < 0 or (
+            gn * pd.numerator * pb.denominator * rd
+            <= pb.numerator * rn * z.denominator * pd.denominator
+        ):
+            theta = Fraction(gn * rd, z.denominator * rn)
             weights = {}
             for i in range(n):
                 if basis[i] < ngens:

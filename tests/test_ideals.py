@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoclose import kernels
-from monoclose.errors import DimensionMismatchError
+from monoclose.errors import DimensionMismatchError, GeneratorBudgetError
 from monoclose.ideals import (
+    POWER_MAX_K,
     MonomialIdeal,
     colon_by_maximal,
     colon_by_monomial,
@@ -174,6 +175,19 @@ def test_power_requires_positive_exponent():
 def test_power_refuses_a_non_integer_exponent(k):
     with pytest.raises(ValueError, match="^k must be an integer, got "):
         power(MonomialIdeal(2, ((2, 0), (0, 3))), k)
+
+
+@pytest.mark.parametrize("gens", [((2, 0), (0, 3)), ((1, 1),)], ids=["binomial", "principal"])
+def test_power_refuses_k_over_the_cap(monkeypatch, gens):
+    # both ideals take k - 1 steps, so a huge k must fail before the first
+    def no_pair_sums(*args):
+        raise AssertionError("power formed a pair sum")
+
+    monkeypatch.setattr(kernels, "pair_sums_antichain", no_pair_sums)
+    I = MonomialIdeal(2, gens)
+    for k in (POWER_MAX_K + 1, 99999999999):
+        with pytest.raises(GeneratorBudgetError, match=f"^power {k} is over the cap"):
+            power(I, k)
 
 
 @given(two_ideals())

@@ -252,13 +252,26 @@ def reference_max_weight_lp(columns, target, threshold=1):
 # outside case, and slack 3 for the partial step of an inside case
 @example(([(1, 3), (0, 1)], (0, 1), 2))
 @example(([(3, 4), (2, 0)], (2, 1), 1))
+# the ratio and threshold tests cross-multiply numerators by denominators
+# after a pivot: each of these fails once the ratio test's left side drops
+# d.denominator (the first), or the threshold test's right side drops
+# pd.denominator (the second); the first also fails if the ratio test drops
+# b.numerator or pb.denominator on the left, or pd.denominator on the right
+@example(([(1, 5, 1), (1, 2, 1)], (1, 1, 1), 1))
+@example(([(2,), (1,)], (1,), 1))
+# non-unit denominators before any pivot; fails under either drop above
+@example(([(Fraction(2, 3), Fraction(2, 3)), (3, 0), (1, 0), (0, Fraction(1, 2))], (1, 1), 2))
+# near 10^30 the tests' products pass 2^53: comparing either test's
+# products as floats turns this outside case inside
+@example(([(0, 10**30 + 1), (10**30 + 1, 10**30)], (10**30, 10**30), 1))
 def test_matches_the_reference_solver(case):
     # same decision, weights and separator, Fraction for Fraction; the
     # reference also returns the optimum, which the separator gives as y . v
     result = max_weight_lp(*case)
     reference = reference_max_weight_lp(*case)
     assert result == reference[:2]
-    # == lets an int through, and the tableau starts from ints
+    # == lets an int through: the tableau starts from ints, and the partial
+    # step's theta is built from ints
     if result[0] == "inside":
         numbers = list(result[1].values())
     else:
