@@ -34,12 +34,13 @@ from . import __version__
 from .errors import GeneratorBudgetError
 from .ideals import (
     MonomialIdeal,
+    _length_mismatch,
     colon_by_maximal,
     colon_by_monomial,
     intersect,
-    minimalize,
     power,
 )
+from .kernels import minimal_antichain
 from .newton import closure, dependence_witness, np_member
 from .normality import (
     NORMAL,
@@ -65,15 +66,13 @@ EXIT_BROKEN_PIPE = 128 + 13  # 13 = SIGPIPE
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.strip().split(",")]
-    if not parts or parts == [""]:
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
         raise ValueError("empty exponent vector")
-    out = []
     for p in parts:
-        if not p or not p.isdecimal():
+        if not p.isdecimal():
             raise ValueError(f"exponents must be nonnegative integers, got {p!r}")
-        out.append(int(p))
-    return tuple(out)
+    return tuple(map(int, parts))
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
@@ -82,15 +81,16 @@ def parse_ideal(text: str) -> MonomialIdeal:
     if not rows:
         raise ValueError("empty ideal text: expected 'a,b,...;c,d,...'")
     vectors = [parse_vector(r) for r in rows]
-    return minimalize(vectors, len(vectors[0]))
+    # parse_vector yields nonnegative ints, so only the lengths need a check
+    dim = len(vectors[0])
+    for v in vectors:
+        if len(v) != dim:
+            raise _length_mismatch(dim, len(v))
+    return MonomialIdeal._from_antichain(dim, minimal_antichain(vectors))
 
 
 def format_vector(v) -> str:
     return ",".join(str(c) for c in v)
-
-
-def _vec_list(gens) -> list:
-    return [list(g) for g in gens]
 
 
 class _Run:
@@ -152,7 +152,7 @@ def _list_vectors(run: _Run, heading: str, vectors):
 
 
 def _list_generators(run: _Run, gens):
-    run.verdict = {"count": len(gens), "generators": _vec_list(gens)}
+    run.verdict = {"count": len(gens), "generators": gens}
     _list_vectors(run, "minimal generators", gens)
 
 
@@ -298,7 +298,7 @@ def _cmd_two_exp_gens(args, run: _Run) -> int:
         vectors, kind = socle_generators(spec, args.max_gens), "socle vectors"
     else:
         vectors, kind = generators_F(spec, args.max_gens), "F_k vectors"
-    run.verdict = {"kind": kind.split()[0], "count": len(vectors), "vectors": _vec_list(vectors)}
+    run.verdict = {"kind": kind.split()[0], "count": len(vectors), "vectors": vectors}
     _list_vectors(run, kind, vectors)
     return 0
 

@@ -43,12 +43,14 @@ def _require_count(name: str, value):
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _length_mismatch(dim: int, got: int) -> DimensionMismatchError:
+    return DimensionMismatchError(f"expected a vector of length {dim}, got {got}")
+
+
 def _check_vector(v, dim: int) -> Vector:
     t = tuple(v)
     if len(t) != dim:
-        raise DimensionMismatchError(
-            f"expected a vector of length {dim}, got {len(t)}"
-        )
+        raise _length_mismatch(dim, len(t))
     for c in t:
         if not _is_int(c):
             raise ValueError(f"exponents must be integers, got {c!r}")
@@ -127,12 +129,14 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th ideal power: pair sums chained k - 1 times, minimalized once.
+    """k-th ideal power: k-fold generator sums, minimalized once.
 
-    Each step's sums generate that power but need not be minimal from 3-D
-    up; the next step takes them as they are, and only the last ones are
-    minimalized.  In 1-D and 2-D the sums are already the minimal
-    generators, so they are returned as they are.
+    ``kernels.power_sums_antichain`` chains the k - 1 pair-sum steps on
+    packed keys: each step's sums generate that power but need not be
+    minimal from 3-D up, the next step takes them as they are, and they are
+    decoded only at the end.  Only the last ones are minimalized; in 1-D and
+    2-D the sums are already the minimal generators, so they are returned
+    as they are.
 
     A k over ``POWER_MAX_K`` raises GeneratorBudgetError before the first
     pair sum.  The k-th power of a non-principal ideal has at least k + 1
@@ -147,9 +151,7 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     _require_count("k", k)
     if k > POWER_MAX_K:
         raise GeneratorBudgetError(f"power {k} is over the cap of {POWER_MAX_K} on k")
-    gens = I.generators
-    for _ in range(k - 1):
-        gens = kernels.pair_sums_antichain(gens, I.generators)
+    gens = kernels.power_sums_antichain(I.generators, k)
     if I.dim > 2:
         gens = kernels.minimal_antichain(gens)
     return MonomialIdeal._from_antichain(I.dim, gens)

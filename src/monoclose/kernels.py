@@ -1,4 +1,4 @@
-"""The combinatorial hot loops: antichains, pair sums and the box scan.
+"""The combinatorial hot loops: antichains, pair and power sums, the box scan.
 
 All arithmetic here is on native Python integers, so coordinates and
 separator functionals of any size are exact.
@@ -37,11 +37,19 @@ The pairwise sums are int additions; of the sums sharing all but the last
 coordinate (the prefix ``s >> w``) only the least can be minimal, so one
 is kept per prefix.  A square forms each unordered pair once.  The
 survivors are swept as keys over their last two coordinates, anew for each
-run of keys that share the coordinates before those, and decoded to
-tuples.  They generate the product: in 1-D and 2-D they are exactly its
-minimal generators, and in 3-D and up most of the other sums are gone.
-A scan or a further product takes them as they are; a caller that needs
-the minimal generators passes them through ``minimal_antichain``.
+run of keys that share the coordinates before those.  They generate the
+product: in 1-D and 2-D they are exactly its minimal generators, and in
+3-D and up most of the other sums are gone.  A scan or a further product
+takes them as they are; a caller that needs the minimal generators passes
+them through ``minimal_antichain``.  Keys are built and decoded a
+coordinate column at a time: a shift-or over each column to pack, one
+list of ``s >> i & mask`` per field, zipped into tuples, to decode.
+
+Ideal powers go through ``power_sums_antichain``, which chains those steps
+on the keys themselves: one width for all of them, the bit length of k
+times the largest coordinate, bounds every coordinate of a k-fold sum, so
+the generators are packed once, each step's swept keys are the next
+step's operand, and only the k-th power's keys are decoded.
 
 The box scan accepts any generating set as seeds, minimal or not, and
 stops once it has as many finds as its caller's ``limit``.  It tests its
@@ -206,15 +214,43 @@ def pair_sums_antichain(left, right):
     """
     if not left or not right:
         return []
-    dim = len(left[0])
     # every coordinate sum is below 2**w, so no field carries into the next
     w = (max(map(max, left)) + max(map(max, right))).bit_length() or 1
-    square = left == right
-    right = _pack(right, w)
-    if square:  # each unordered pair once
-        sums = {a + b for i, a in enumerate(right) for b in right[i:]}
+    keys = _pack(right, w)
+    if left == right:
+        sums = _square(keys)
     else:
-        sums = {a + b for a in _pack(left, w) for b in right}
+        sums = {a + b for a in _pack(left, w) for b in keys}
+    return _unpack(_sweep(sums, w), w, len(left[0]))
+
+
+def power_sums_antichain(generators, k):
+    """The k-fold sums of ``generators`` that generate the k-th power.
+
+    ``generators`` squared, then k - 2 times summed with ``generators``, each
+    step swept as in ``pair_sums_antichain`` and the next one taking its
+    sums as they are, all on packed keys of one width; k = 1 returns the
+    generators.  Exactly the minimal sums in 1-D and 2-D, possibly a few
+    more from 3-D up.
+    """
+    if not generators:
+        return []
+    # every coordinate of a k-fold sum is below 2**w
+    w = (k * max(map(max, generators))).bit_length() or 1
+    base = _pack(generators, w)
+    keys = _sweep(_square(base), w) if k > 1 else base
+    for _ in range(k - 2):
+        keys = _sweep({a + b for a in keys for b in base}, w)
+    return _unpack(keys, w, len(generators[0]))
+
+
+def _square(keys):
+    # the sums of the keys' unordered pairs, each formed once
+    return {a + b for i, a in enumerate(keys) for b in keys[i:]}
+
+
+def _sweep(sums, w):
+    """The kept keys among the packed ``sums``, ascending (module docstring)."""
     sums = sorted(sums, reverse=True)
     # walked in descending order, each prefix s >> w is last written with
     # its least sum, i.e. its least last coordinate
@@ -232,19 +268,24 @@ def pair_sums_antichain(left, right):
         if s & mask < low:
             low = s & mask
             kept.append(s)
-    shifts = range(w * (dim - 1), -1, -w)
-    return [tuple([s >> i & mask for i in shifts]) for s in kept]
+    return kept
 
 
 def _pack(vectors, w):
-    # one int per vector, coordinate 0 in the most significant w-bit field
-    keys = []
-    for v in vectors:
-        key = 0
-        for c in v:
-            key = key << w | c
-        keys.append(key)
+    # one int per vector, coordinate 0 in the most significant w-bit field,
+    # built a coordinate column at a time
+    columns = zip(*vectors)
+    keys = list(next(columns))
+    for column in columns:
+        keys = [key << w | c for key, c in zip(keys, column)]
     return keys
+
+
+def _unpack(keys, w, dim):
+    # the vectors of the keys, decoded a coordinate column at a time
+    mask = (1 << w) - 1
+    shifts = range(w * (dim - 1), -1, -w)
+    return list(zip(*[[s >> i & mask for s in keys] for i in shifts]))
 
 
 def box_closure_scan(bounds, seeds, member, limit=None):

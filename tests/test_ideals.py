@@ -1,7 +1,9 @@
 """Monomial ideal construction and arithmetic."""
 
+from itertools import combinations_with_replacement
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoclose import kernels
@@ -131,11 +133,23 @@ def test_power_splits_as_product(pair, a, b):
     assert power(I, a + b) == product(power(I, a), power(I, b))
 
 
+@given(ideal_and_dim(max_coord=6, max_gens=5), st.integers(1, 4))
+@example((MonomialIdeal(3, ()), 3), 3)
+@example((MonomialIdeal(2, ((0, 0),)), 2), 4)
+@example((MonomialIdeal(4, ((1, 0, 2, 3),)), 4), 4)
+def test_power_is_the_minimal_k_fold_sums(pair, k):
+    # the zero, unit and a principal ideal, then random ones in 1-D to 4-D
+    I, _ = pair
+    sums = [tuple(map(sum, zip(*c))) for c in combinations_with_replacement(I.generators, k)]
+    assert list(power(I, k).generators) == naive_minimal(sums)
+
+
 def test_power_minimalizes_once(monkeypatch):
-    # k - 1 pair sums on unminimalized operands, then one minimal-elements
-    # pass: J^2 of closure(3,4,4,5) has 143 sums and 141 minimal generators
+    # one kernel call forms the k-fold sums without minimalizing them, then
+    # one minimal-elements pass: J^2 of closure(3,4,4,5) has 143 sums and
+    # 141 minimal generators
     calls = []
-    for name in ("pair_sums_antichain", "minimal_antichain"):
+    for name in ("power_sums_antichain", "pair_sums_antichain", "minimal_antichain"):
         def spy(*args, _real=getattr(kernels, name), _name=name):
             out = _real(*args)
             calls.append((_name, len(out)))
@@ -146,16 +160,18 @@ def test_power_minimalizes_once(monkeypatch):
     J = closure(I)
     calls.clear()
     assert len(power(J, 2).generators) == 141
-    assert calls == [("pair_sums_antichain", 143), ("minimal_antichain", 141)]
+    assert calls == [("power_sums_antichain", 143), ("minimal_antichain", 141)]
     calls.clear()
     power(J, 4)
-    assert [name for name, _ in calls] == ["pair_sums_antichain"] * 3 + ["minimal_antichain"]
+    assert [name for name, _ in calls] == ["power_sums_antichain", "minimal_antichain"]
     # in 2-D the swept sums are already the minimal generators: no pass
     K = closure(MonomialIdeal(2, ((30, 0), (0, 31))))
     calls.clear()
     cube = power(K, 3)
-    assert calls == [("pair_sums_antichain", 61), ("pair_sums_antichain", 91)]
+    assert calls == [("power_sums_antichain", 91)]
+    calls.clear()
     assert cube == product(product(K, K), K)
+    assert calls == [("pair_sums_antichain", 61), ("pair_sums_antichain", 91)]
     # and so does a 2-D product of two different ideals
     L = closure(MonomialIdeal(2, ((7, 0), (0, 11))))
     calls.clear()
@@ -183,7 +199,7 @@ def test_power_refuses_k_over_the_cap(monkeypatch, gens):
     def no_pair_sums(*args):
         raise AssertionError("power formed a pair sum")
 
-    monkeypatch.setattr(kernels, "pair_sums_antichain", no_pair_sums)
+    monkeypatch.setattr(kernels, "power_sums_antichain", no_pair_sums)
     I = MonomialIdeal(2, gens)
     for k in (POWER_MAX_K + 1, 99999999999):
         with pytest.raises(GeneratorBudgetError, match=f"^power {k} is over the cap"):

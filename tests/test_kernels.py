@@ -1,6 +1,7 @@
 """The kernels against brute-force references and hand-computed values."""
 
 import random
+from itertools import combinations_with_replacement
 from operator import le
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import monoclose
 from monoclose import kernels
 from monoclose.errors import GeneratorBudgetError
-from monoclose.ideals import MonomialIdeal, contains_monomial
+from monoclose.ideals import MonomialIdeal, contains_monomial, power
 
 
 def vectors_strategy(dim, max_coord=12, max_len=40):
@@ -361,6 +362,12 @@ def test_kernels_are_exact_on_huge_coordinates():
     assert not contains_monomial(I, (big - 1, 3))
     sums = [(a + 1, b + 1) for a, b in vecs]
     assert kernels.pair_sums_antichain(vecs, [(1, 1)]) == naive_minimal(sums)
+    # three times 3 << 39 needs one bit more than twice it, so a field
+    # sized for a single pair sum would carry in the cube
+    odd = 3 << 39
+    J = MonomialIdeal(3, ((odd, 0, 1), (0, odd, 0), (1, 1, odd)))
+    cubes = [tuple(map(sum, zip(*c))) for c in combinations_with_replacement(J.generators, 3)]
+    assert list(power(J, 3).generators) == naive_minimal(cubes)
 
 
 def test_backend_name():
